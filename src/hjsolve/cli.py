@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
     rhs, label = _rhs_source(args, spec)
     f = rhs.f if hasattr(rhs, "f") else rhs
 
-    rep = solve(spec, args.scheme, f, engine=args.engine, storage=args.storage,
+    rep = solve(spec, args.scheme, f, storage=args.storage,
                 force_bisection=args.force_bisection)
 
     out = _out_dir(args)
@@ -268,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--m", type=int, required=True, help="subdivisions per axis (h = 1/m)")
     ps.add_argument("--case", help="f1 | f2 | f3 | const:<c>")
     ps.add_argument("--field-file", help="right-hand side as a binary grid-field file")
-    ps.add_argument("--engine", default="auto", choices=("auto", "wavefront", "sweep"))
     ps.add_argument("--storage", default="full", choices=("full", "rolling"))
     ps.add_argument("--force-bisection", action="store_true",
                     help="use bisection even where closed forms exist (n=2)")

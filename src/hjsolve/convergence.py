@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridField, GridSpec
-from .schemes import SchemeKind, SolveReport, solve
+from .schemes import SchemeKind, solve
 from .testcases import TestCase, u_from_v_values, u_from_w_values
 
 _SEQUENCES = {2: (40, 4), 3: (20, 2), 4: (4, 2)}
@@ -85,13 +85,14 @@ def u_scale_error_fn(kind: SchemeKind, case: TestCase):
 
 
 def _solve_row(case: TestCase, kind: SchemeKind, m: int, force_bisection: bool,
-               byte_cap: int) -> SolveReport:
+               byte_cap: int) -> float:
+    """u-scale sup error of one row solve; the field is dropped at once."""
     spec = GridSpec(case.n, m)
     err = u_scale_error_fn(kind, case)
     field_bytes = spec.num_nodes * 8
     storage = "full" if field_bytes <= byte_cap else "rolling"
     return solve(spec, kind, case.f, storage=storage,
-                 force_bisection=force_bisection, error_fn=err)
+                 force_bisection=force_bisection, error_fn=err).linf_error
 
 
 def run_study(study: StudySpec) -> dict[SchemeKind, list[ConvergenceRow]]:
@@ -102,25 +103,21 @@ def run_study(study: StudySpec) -> dict[SchemeKind, list[ConvergenceRow]]:
 
     def work(pair):
         kind, m = pair
-        return pair, _solve_row(study.case, kind, m, study.force_bisection,
-                                study.byte_cap)
+        return _solve_row(study.case, kind, m, study.force_bisection,
+                          study.byte_cap)
 
-    results = {}
     if study.jobs == 1:
-        for pair in pairs:
-            results[pair] = work(pair)[1]
+        errors = {pair: work(pair) for pair in pairs}
     else:
         with ThreadPoolExecutor(max_workers=study.jobs) as pool:
-            for pair, rep in pool.map(work, pairs):
-                results[pair] = rep
+            errors = dict(zip(pairs, pool.map(work, pairs)))
 
     out: dict[SchemeKind, list[ConvergenceRow]] = {}
     for kind in study.schemes:
         rows = []
         prev = None
         for m in study.ms:
-            rep = results[(kind, m)]
-            e = rep.linf_error
+            e = errors[(kind, m)]
             h = 1.0 / m
             order = None
             if prev is not None and e > 0.0 and prev.error > 0.0:

@@ -1,4 +1,5 @@
-"""Uniform grids on the unit cube [0,1]^n.
+"""Uniform grids on the unit cube [0,1]^n, and grid fields with their file
+formats.
 
 Nodes live at coordinates (i_1/m, ..., i_n/m) for integer multi-indices
 0 <= i_j <= m. The linear index is lexicographic with the last axis fastest
@@ -10,7 +11,6 @@ m = 40, 160, 640, ... are exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import struct
 from dataclasses import dataclass
@@ -85,37 +85,6 @@ def sweep_order(spec: GridSpec) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(spec.m + 1), repeat=spec.n)
 
 
-def backward_offsets(spec: GridSpec) -> tuple[int, ...]:
-    """Linear-index offset of the backward neighbor along each axis.
-
-    Subtracting offset[j] from a node's linear index yields x - h*e_{j+1},
-    valid whenever the node's index along that axis is >= 1.
-    """
-    return tuple((spec.m + 1) ** (spec.n - 1 - ax) for ax in range(spec.n))
-
-
-@functools.lru_cache(maxsize=4)
-def wavefront_order(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Linear node indices grouped by index digit-sum d = i_1 + ... + i_n.
-
-    Returns (order, offsets): order[offsets[d]:offsets[d+1]] are the nodes of
-    wavefront d, in lexicographic order. All backward neighbors of a node on
-    wavefront d lie on wavefront d-1, so processing fronts in order of d is a
-    valid single-pass schedule.
-    """
-    R = spec.m + 1
-    ds = np.zeros(spec.shape, dtype=np.int32)
-    for ax in range(spec.n):
-        sh = [1] * spec.n
-        sh[ax] = R
-        ds += np.arange(R, dtype=np.int32).reshape(sh)
-    flat = ds.ravel()
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=spec.n * spec.m + 1)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return order, offsets
-
-
 class GridField:
     """Double-precision values on every node of a GridSpec."""
 
@@ -187,40 +156,3 @@ class GridField:
             raise ValueError(f"{path}: expected {spec.num_nodes} rows, got {count}")
         return cls(spec, vals)
 
-
-class RollingWindow:
-    """Ring buffer over the most recent values of a lexicographic sweep.
-
-    Capacity (m+1)^(n-1) + 1 guarantees that when the sweep reaches a node
-    whose indices are all >= 1, every backward neighbor is still inside the
-    window (the farthest one is (m+1)^(n-1) positions back).
-    """
-
-    def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self.capacity = (spec.m + 1) ** (spec.n - 1) + 1
-        self._buf = np.zeros(self.capacity)
-        self.count = 0  # total values appended == linear index of next node
-
-    def append(self, value: float) -> None:
-        self._buf[self.count % self.capacity] = value
-        self.count += 1
-
-    def value_at(self, linear_index: int) -> float:
-        if not (0 <= linear_index < self.count):
-            raise IndexError(f"linear index {linear_index} not yet computed")
-        if linear_index < self.count - self.capacity:
-            raise IndexError(f"linear index {linear_index} fell out of the window")
-        return float(self._buf[linear_index % self.capacity])
-
-    def final_slab(self) -> np.ndarray:
-        """Values of the last axis-1 slab (nodes with i_1 = m), in order.
-
-        Only meaningful after a completed sweep.
-        """
-        if self.count != self.spec.num_nodes:
-            raise RuntimeError("sweep not complete")
-        size = (self.spec.m + 1) ** (self.spec.n - 1)
-        start = self.count - size
-        idx = (start + np.arange(size)) % self.capacity
-        return self._buf[idx].copy()

@@ -13,18 +13,17 @@ dimensions the root is bracketed and bisected until the residual product lands
 in the multiplicative band [target, (1+h)*target], which keeps the iteration
 error below the truncation error of the scheme.
 
-Two engines compute full-grid solutions. The "wavefront" engine vectorizes
-over groups of nodes with equal index digit-sum (all backward neighbors of a
-node lie in the previous group, so this is still a single pass). The "sweep"
-engine is a scalar reference that walks nodes in lexicographic order and can
-run on a rolling window instead of a full array; both engines produce
-bit-identical values.
+One engine solves the grid. Every backward neighbor of a node with index
+digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
+order, each vectorized over its nodes and computed from front d-1 alone. Each
+front is checked for a finite nonnegative right-hand side, folded into the
+residual certificate and the error, and scattered into the full field or,
+with rolling storage, only into the final i_1 = m slab.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -32,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import (GridField, GridSpec, RollingWindow, backward_offsets,
-                   wavefront_order)
+from .grid import GridField, GridSpec
 
 BISECTION_CAP = 200
 
@@ -103,8 +101,8 @@ class UpdateInputs:
 
 # ---------------------------------------------------------------------------
 # Closed forms (n = 2).  These kernels accept scalars or arrays; the exact
-# staging of the arithmetic is shared by every engine so that results are
-# bit-identical regardless of how nodes are batched.
+# staging of the arithmetic is shared by the engine and the scalar updates so
+# that results are bit-identical regardless of how nodes are batched.
 # ---------------------------------------------------------------------------
 
 def _s1_closed(a1, a2, h, f):
@@ -235,11 +233,6 @@ class _BisectStats:
         self.nodes += iters.size
         self.iters_total += int(iters.sum())
         self.iters_max = max(self.iters_max, int(iters.max(initial=0)))
-
-    def merge(self, other: "_BisectStats") -> None:
-        self.nodes += other.nodes
-        self.iters_total += other.iters_total
-        self.iters_max = max(self.iters_max, other.iters_max)
 
 
 def _pow_int(base: float, exponent: int) -> float:
@@ -419,13 +412,9 @@ def s3_update(inp: UpdateInputs, method: str = "auto") -> float:
 # Right-hand-side plumbing
 # ---------------------------------------------------------------------------
 
-def _as_rhs(f, spec: GridSpec):
-    """Normalize f (constant, callable on coordinate tuples, or GridField)
-    into a callable taking a tuple of broadcastable coordinate arrays."""
-    if isinstance(f, GridField):
-        if f.spec != spec:
-            raise ValueError(f"rhs field spec {f.spec} != solve spec {spec}")
-        return None  # caller indexes the field directly
+def _as_rhs(f):
+    """Normalize a constant or a callable f into a callable taking a tuple of
+    broadcastable coordinate arrays."""
     if isinstance(f, (int, float)):
         c = float(f)
         if c < 0.0:
@@ -437,20 +426,115 @@ def _as_rhs(f, spec: GridSpec):
     raise TypeError(f"unsupported rhs type {type(f)!r}")
 
 
+def _check_rhs_spec(f, spec: GridSpec) -> None:
+    if isinstance(f, GridField) and f.spec != spec:
+        raise ValueError(f"rhs field spec {f.spec} != solve spec {spec}")
+
+
 def _eval_rhs_full(f, spec: GridSpec) -> np.ndarray:
+    _check_rhs_spec(f, spec)
     if isinstance(f, GridField):
         return f.values
-    fn = _as_rhs(f, spec)
-    F = np.asarray(fn(spec.mesh()), dtype=np.float64)
-    F = np.broadcast_to(F, spec.shape).copy() if F.shape != spec.shape else F
-    return F
+    F = np.asarray(_as_rhs(f)(spec.mesh()), dtype=np.float64)
+    return np.broadcast_to(F, spec.shape)
 
 
-def _check_rhs_nonneg(F: np.ndarray, spec: GridSpec) -> None:
-    if F.min() < 0.0:
-        bad = np.unravel_index(int(np.argmin(F.reshape(-1))), spec.shape)
-        raise SolveError(f"negative right-hand side f={F[bad]} at node {bad}",
-                         multi_index=bad)
+def _front_rhs(f, spec: GridSpec):
+    """f on one front, as a function of the node coordinates x (a tuple of
+    1-d arrays), the head rows and the last indices of the nodes."""
+    _check_rhs_spec(f, spec)
+    if isinstance(f, GridField):
+        F = f.values.reshape(-1, spec.m + 1)
+        return lambda x, rows, last: F[rows, last]
+    fn = _as_rhs(f)
+
+    def rhs(x, rows, last):
+        fd = np.asarray(fn(x), dtype=np.float64)
+        return fd if fd.shape == last.shape else np.broadcast_to(fd, last.shape)
+    return rhs
+
+
+# ---------------------------------------------------------------------------
+# Residual certificate
+# ---------------------------------------------------------------------------
+
+def _violation(product, target, band):
+    """How far the residual product falls outside [target, (1+band)*target],
+    relative to target; absolute where target == 0. Infinite as soon as a
+    product or target is not finite."""
+    if not (np.isfinite(product).all() and np.isfinite(target).all()):
+        return math.inf
+    out = np.where(target > 0.0,
+                   np.maximum(np.maximum(target - product,
+                                         product - (1.0 + band) * target), 0.0)
+                   / np.where(target > 0.0, target, 1.0),
+                   product)
+    return float(np.max(out, initial=0.0))
+
+
+def _band_violation(kind, t, A, C, f, h, n):
+    """Band violation of the scheme residual at nodes t, given the backward
+    neighbors A (axis order), the S3 weights C = n*i and the rhs f. The
+    engine runs it once per front, residual_stats once over a whole field,
+    with the same arithmetic staging."""
+    prod = None
+    if kind is SchemeKind.S3:
+        for a, c in zip(A, C):
+            fac = np.maximum((1.0 + c) * t - c * a, 0.0)
+            prod = fac if prod is None else prod * fac
+        return _violation(prod, f, h)
+    for a in A:
+        fac = np.maximum(t - a, 0.0)
+        prod = fac if prod is None else prod * fac
+    target = _pow_int(h, n) * f
+    if kind is SchemeKind.S2:
+        den = t
+        for _ in range(n - 2):
+            den = den * t
+        target = target * den
+    return _violation(prod, target, h)
+
+
+def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
+    """Max band-violation of the scheme's residual over the whole field.
+
+    Zero (up to float dust) certifies that every node is either inside the
+    (1+h) acceptance band or solved exactly (closed form / degenerate cases);
+    any non-finite value, product or target makes it infinite.
+    """
+    spec = field.spec
+    kind = SchemeKind.parse(kind)
+    n, h = spec.n, spec.h
+    V = field.values
+    F = _eval_rhs_full(f, spec)
+    if kind.has_boundary_condition:
+        inner = tuple([slice(1, None)] * n)
+        A = []
+        for ax in range(n):
+            sl = [slice(1, None)] * n
+            sl[ax] = slice(None, -1)
+            A.append(V[tuple(sl)])
+        viol = _band_violation(kind, V[inner], A, None, F[inner], h, n)
+        # boundary nodes must hold exactly zero
+        for ax in range(n):
+            sl = [slice(None)] * n
+            sl[ax] = 0
+            viol = max(viol, _violation(np.abs(V[tuple(sl)]), 0.0, h))
+        return viol
+    A = []
+    C = []
+    for ax in range(n):
+        c_shape = [1] * n
+        c_shape[ax] = spec.m + 1
+        C.append((n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape))
+        a = np.zeros_like(V)
+        sl_to = [slice(None)] * n
+        sl_to[ax] = slice(1, None)
+        sl_from = [slice(None)] * n
+        sl_from[ax] = slice(None, -1)
+        a[tuple(sl_to)] = V[tuple(sl_from)]
+        A.append(a)
+    return _band_violation(kind, V, A, C, F, h, n)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +545,6 @@ def _check_rhs_nonneg(F: np.ndarray, spec: GridSpec) -> None:
 class SolveReport:
     spec: GridSpec
     kind: SchemeKind
-    engine: str
     storage: str
     field: GridField | None
     max_band_violation: float
@@ -478,7 +561,6 @@ class SolveReport:
             "n": self.spec.n,
             "m": self.spec.m,
             "h": self.spec.h,
-            "engine": self.engine,
             "storage": self.storage,
             "max_band_violation": self.max_band_violation,
             "bisect_nodes": self.bisect_nodes,
@@ -490,437 +572,159 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# Engine: n = 2 closed-form wavefront (anti-diagonals)
+# Front-streaming engine
 # ---------------------------------------------------------------------------
 
-def _solve_diag_2d(spec, kind, f, store, error_fn):
-    m, h = spec.m, spec.h
-    R = m + 1
-    xs = spec.axis_coords()
-    f_field = f if isinstance(f, GridField) else None
-    f_fn = None if f_field is not None else _as_rhs(f, spec)
+class _Fronts:
+    """Heads (i_1, ..., i_{n-1}) sorted by digit sum, stably, so each front
+    of equal node digit-sum d is one contiguous run of head positions.
 
-    W = np.zeros((R, R)) if store else None
-    prev = np.zeros(R)
-    cur = np.zeros(R)
-    slab = None if store else np.zeros(R)
-    linf = 0.0
-    max_viol = 0.0
-    base = np.arange(R)
+    Front d holds the heads with sum in [max(0, d-m), min(d, (n-1)m)], each
+    with last index d - sum(head). The backward neighbor along head axis j
+    sits at position back[j] (the head itself where i_j = 0; callers mask
+    those), along the last axis at the same position, both on front d-1.
+    """
 
-    for d in range(0, 2 * m + 1):
-        ilo = max(0, d - m)
-        ihi = min(d, m)
-        ii = base[ilo:ihi + 1]
-        x1 = xs[ilo:ihi + 1]
-        x2 = xs[d - ihi:d - ilo + 1][::-1]
-        if f_field is not None:
-            fd = f_field.values[ii, d - ii]
-        else:
-            fd = np.asarray(f_fn((x1, x2)), dtype=np.float64)
-            fd = np.broadcast_to(fd, x1.shape).copy() if fd.shape != x1.shape else fd
-        if fd.min() < 0.0:
-            k = int(np.argmin(fd))
-            raise SolveError(f"negative right-hand side f={fd[k]} at node "
-                             f"{(ilo + k, d - ilo - k)}",
-                             multi_index=(ilo + k, d - ilo - k))
-        cur.fill(0.0)
-        if kind is SchemeKind.S3:
-            a1 = np.where(ii >= 1, prev[np.maximum(ii - 1, 0)], 0.0)
-            a2 = np.where(d - ii >= 1, prev[ii], 0.0)
-            cur[ilo:ihi + 1] = _s3_closed(x1, x2, a1, a2, h, fd)
-        else:
-            jlo = max(1, d - m)
-            jhi = min(d - 1, m)
-            if jlo <= jhi:
-                s = slice(jlo, jhi + 1)
-                off = slice(jlo - ilo, jhi - ilo + 1)
-                a1 = prev[jlo - 1:jhi]
-                a2 = prev[s]
-                if kind is SchemeKind.S1:
-                    cur[s] = _s1_closed(a1, a2, h, fd[off])
-                else:
-                    cur[s] = _s2_closed(a1, a2, h, fd[off])
-        vals = cur[ilo:ihi + 1]
-        if store:
-            W[ii, d - ii] = vals
-        else:
-            max_viol = max(max_viol, _diag_violation_2d(kind, vals, cur, prev,
-                                                        ii, x1, x2, fd, h, d, m))
-            if d >= m:
-                slab[d - m] = cur[m]
-        if error_fn is not None:
-            e = error_fn(vals, (x1, x2))
-            linf = max(linf, float(np.max(e)))
-        prev, cur = cur, prev
+    def __init__(self, spec: GridSpec):
+        n, m = self.n, self.m = spec.n, spec.m
+        R = m + 1
+        digits = np.indices((R,) * (n - 1)).reshape(n - 1, -1)
+        total = digits.sum(axis=0)
+        order = np.argsort(total, kind="stable")
+        counts = np.bincount(total, minlength=(n - 1) * m + 1)
+        self.start = np.concatenate(([0], np.cumsum(counts)))
+        self.sum = total[order]
+        self.row = order  # linear index of the head among all heads
+        digits = digits[:, order]
+        self.idx = list(digits)
+        pos = np.empty_like(order)
+        pos[order] = np.arange(order.size)
+        self.back = [pos[np.where(i >= 1, order - R ** (n - 2 - j), order)]
+                     for j, i in enumerate(self.idx)]
+        self.inner = np.all(digits >= 1, axis=0)
 
-    return W, slab, linf, max_viol
+    def span(self, d: int) -> tuple[int, int]:
+        """Head positions [lo, hi) of front d."""
+        n, m = self.n, self.m
+        return (int(self.start[max(0, d - m)]),
+                int(self.start[min(d, (n - 1) * m) + 1]))
+
+    def node(self, p: int, d: int) -> tuple[int, ...]:
+        """Multi-index of the node at head position p on front d."""
+        return tuple(int(i[p]) for i in self.idx) + (d - int(self.sum[p]),)
 
 
-def _diag_violation_2d(kind, vals, cur, prev, ii, x1, x2, fd, h, d, m):
-    """Band-violation of the residual product on one anti-diagonal (used by
-    the streaming path; stored solves recompute this over the full field)."""
-    n = 2
-    if kind is SchemeKind.S3:
-        a1 = np.where(ii >= 1, prev[np.maximum(ii - 1, 0)], 0.0)
-        a2 = np.where(d - ii >= 1, prev[ii], 0.0)
-        c1 = n * x1 / h
-        c2 = n * x2 / h
-        q = np.maximum((1.0 + c1) * vals - c1 * a1, 0.0) \
-            * np.maximum((1.0 + c2) * vals - c2 * a2, 0.0)
-        return _violation(q, fd, h)
-    jlo = max(1, d - m)
-    jhi = min(d - 1, m)
-    if jlo > jhi:
-        return 0.0
-    t = cur[jlo:jhi + 1]
-    a1 = prev[jlo - 1:jhi]
-    a2 = prev[jlo:jhi + 1]
-    p = np.maximum(t - a1, 0.0) * np.maximum(t - a2, 0.0)
-    fsub = fd[jlo - ii[0]:jhi - ii[0] + 1]
+def _front_update(kind, closed, A, C, x, f, h, n, stats):
+    if closed:
+        if kind is SchemeKind.S1:
+            return _s1_closed(A[0], A[1], h, f)
+        if kind is SchemeKind.S2:
+            return _s2_closed(A[0], A[1], h, f)
+        return _s3_closed(x[0], x[1], A[0], A[1], h, f)
     if kind is SchemeKind.S1:
-        return _violation(p, (h * h) * fsub, h)
-    return _violation(p, ((h * h) * fsub) * t, h)
+        return _update_s1_vec(A, f, h, n, stats)
+    if kind is SchemeKind.S2:
+        return _update_s2_vec(A, f, h, n, stats)
+    return _update_s3_vec(A, C, f, h, n, stats)
 
 
-def _violation(product, target, band):
-    """How far the residual product falls outside [target, (1+band)*target],
-    relative to target; absolute where target == 0."""
-    out = np.where(target > 0.0,
-                   np.maximum(np.maximum(target - product,
-                                         product - (1.0 + band) * target), 0.0)
-                   / np.where(target > 0.0, target, 1.0),
-                   product)
-    return float(np.max(out, initial=0.0))
-
-
-# ---------------------------------------------------------------------------
-# Engine: general-n bisection wavefront (digit-sum groups)
-# ---------------------------------------------------------------------------
-
-def _solve_wavefront_nd(spec, kind, f, error_fn):
+def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
+    """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
+    compute front d; each front is scattered into the full field, or with
+    rolling storage only into the final i_1 = m slab."""
     n, m, h = spec.n, spec.m, spec.h
     R = m + 1
-    strides = backward_offsets(spec)
-    order, offsets = wavefront_order(spec)
-    F = _eval_rhs_full(f, spec)
-    _check_rhs_nonneg(F, spec)
-    Ff = F.reshape(-1)
-    Wf = np.zeros(spec.num_nodes)
+    fronts = _Fronts(spec)
+    xs = spec.axis_coords()
+    rhs = _front_rhs(f, spec)
+    closed = n == 2 and not force_bisection
+    heads = R ** (n - 1)
+    prev = np.zeros(heads)  # front d-1, by head position
+    # scatter target: the flat field, or its last `heads` entries (i_1 = m)
+    offset = m * heads if rolling else 0
+    out = np.zeros(R * heads - offset)
     stats = _BisectStats()
+    cert = 0.0
+    linf = 0.0
 
-    for d in range(0, n * m + 1):
-        idx = order[offsets[d]:offsets[d + 1]]
-        if idx.size == 0:
-            continue
-        iax = [(idx // strides[ax]) % R for ax in range(n)]
+    for d in range(n * m + 1):
+        lo, hi = fronts.span(d)
+        hidx = [i[lo:hi] for i in fronts.idx]
+        last = d - fronts.sum[lo:hi]
+        rows = fronts.row[lo:hi]
+        x = tuple(xs[i] for i in hidx) + (xs[last],)
+        fd = rhs(x, rows, last)
+        ok = np.isfinite(fd) & (fd >= 0.0)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            node = fronts.node(lo + k, d)
+            raise SolveError(f"invalid right-hand side f={fd[k]} at node {node}",
+                             multi_index=node)
+
+        if kind.has_boundary_condition:
+            sel = np.nonzero(fronts.inner[lo:hi] & (last >= 1))[0]
+            pos = lo + sel
+            A = [prev[b[pos]] for b in fronts.back] + [prev[pos]]
+            C = None
+            fs = fd[sel]
+        else:
+            sel = None
+            A = [np.where(i >= 1, prev[b[lo:hi]], 0.0)
+                 for i, b in zip(hidx, fronts.back)]
+            A.append(np.where(last >= 1, prev[lo:hi], 0.0))
+            C = [(n * i).astype(np.float64) for i in hidx + [last]]
+            fs = fd
         try:
-            if kind.has_boundary_condition:
-                interior = iax[0] >= 1
-                for ax in range(1, n):
-                    interior &= iax[ax] >= 1
-                idx = idx[interior]
-                if idx.size == 0:
-                    continue
-                A = [Wf[idx - strides[ax]] for ax in range(n)]
-                if kind is SchemeKind.S1:
-                    t = _update_s1_vec(A, Ff[idx], h, n, stats)
-                else:
-                    t = _update_s2_vec(A, Ff[idx], h, n, stats)
-            else:
-                A = []
-                C = []
-                for ax in range(n):
-                    has = iax[ax] >= 1
-                    nb = np.where(has, idx - strides[ax], idx)
-                    A.append(np.where(has, Wf[nb], 0.0))
-                    C.append((n * iax[ax]).astype(np.float64))
-                t = _update_s3_vec(A, C, Ff[idx], h, n, stats)
+            t = _front_update(kind, closed, A, C, x, fs, h, n, stats)
         except BisectionCapError as exc:
-            node = np.unravel_index(int(idx[exc.local_indices[0]]), spec.shape)
+            k = int(exc.local_indices[0])
+            node = fronts.node(lo + (k if sel is None else int(sel[k])), d)
             raise SolveError(f"{exc} (first at node {node})",
                              multi_index=node) from exc
-        Wf[idx] = t
-
-    W = Wf.reshape(spec.shape)
-    linf = None
-    if error_fn is not None:
-        linf = float(np.max(error_fn(W, spec.mesh())))
-    return W, linf, stats
-
-
-# ---------------------------------------------------------------------------
-# Engine: lexicographic scalar sweep (reference; full or rolling storage)
-# ---------------------------------------------------------------------------
-
-def _solve_sweep(spec, kind, f, storage, force_bisection, error_fn):
-    # Scalar reference engine. One python-level pass in lexicographic order,
-    # batched per last-axis row for f evaluation and error tracking. The
-    # closed forms below mirror the staging of _s1_closed/_s2_closed/
-    # _s3_closed exactly (+, *, - and sqrt are correctly rounded, so the
-    # math-module scalars agree bit for bit with the numpy kernels).
-    n, m, h = spec.n, spec.m, spec.h
-    R = m + 1
-    offs = backward_offsets(spec)
-    f_field = f if isinstance(f, GridField) else None
-    f_fn = None if f_field is not None else _as_rhs(f, spec)
-    rolling = storage == "rolling"
-    window = RollingWindow(spec) if rolling else None
-    full = None if rolling else np.zeros(spec.num_nodes)
-    stats = _BisectStats()
-    use_closed = (n == 2) and not force_bisection
-    linf = 0.0
-    max_viol = 0.0
-    hh = h * h
-    four_hh = 4.0 * hh
-    xs_axis = spec.axis_coords()
-    row_vals = np.zeros(R)
-    prev_row = np.zeros(R)  # n=2 streaming violation check
-    s1 = kind is SchemeKind.S1
-
-    if rolling:
-        lookup = window.value_at
-    else:
-        lookup = full.__getitem__
-
-    for row_idx, head in enumerate(itertools.product(range(R), repeat=n - 1)):
-        x_head = tuple(i / m for i in head)
-        xs_row = tuple(np.float64(xh) for xh in x_head) + (xs_axis,)
-        if f_field is not None:
-            f_row = f_field.values[head]
+        cert = max(cert, _band_violation(kind, t, A, C, fs, h, n))
+        if sel is None:
+            vals = t
         else:
-            f_row = np.asarray(f_fn(xs_row), dtype=np.float64)
-            if f_row.shape != (R,):
-                f_row = np.broadcast_to(f_row, (R,)).copy()
-        if f_row.min() < 0.0:
-            j_bad = int(np.argmin(f_row))
-            mi = head + (j_bad,)
-            raise SolveError(f"negative right-hand side f={f_row[j_bad]} at "
-                             f"node {mi}", multi_index=mi)
-        base_lin = row_idx * R
-        head_boundary = any(i == 0 for i in head)
+            vals = np.zeros(hi - lo)
+            vals[sel] = t
 
-        for j in range(R):
-            lin = base_lin + j
-            f_x = float(f_row[j])
-            try:
-                if kind.has_boundary_condition:
-                    if head_boundary or j == 0:
-                        t = 0.0
-                    else:
-                        a = tuple(lookup(lin - off) for off in offs)
-                        if use_closed:
-                            a1, a2 = a
-                            if s1:
-                                d = a1 - a2
-                                t = 0.5 * (a1 + a2) + 0.5 * math.sqrt(
-                                    d * d + four_hh * f_x)
-                            else:
-                                b = hh * f_x
-                                A = a1 + a2
-                                B = a1 - a2
-                                t = 0.5 * (A + b) + 0.5 * math.sqrt(
-                                    B * B + 2.0 * b * A + b * b)
-                        else:
-                            A1 = [np.array([ai]) for ai in a]
-                            fv = np.array([f_x])
-                            upd = _update_s1_vec if s1 else _update_s2_vec
-                            t = float(upd(A1, fv, h, n, stats)[0])
-                            if rolling:
-                                max_viol = max(max_viol, _node_violation(
-                                    kind, t, a, None, f_x, h, n))
-                else:
-                    mi = head + (j,)
-                    a = tuple(lookup(lin - offs[ax]) if mi[ax] >= 1 else 0.0
-                              for ax in range(n))
-                    if use_closed:
-                        x1 = x_head[0]
-                        x2 = j / m
-                        q1 = 2.0 * x1 + h
-                        q2 = 2.0 * x2 + h
-                        A1v = (x1 * q2) * a[0]
-                        A2v = (x2 * q1) * a[1]
-                        C = A1v + A2v
-                        D = A1v - A2v
-                        P = q1 * q2
-                        t = (C + math.sqrt(D * D + P * (hh * f_x))) / P
-                    else:
-                        cs = [float(n * mi[ax]) for ax in range(n)]
-                        A1 = [np.array([ai]) for ai in a]
-                        C1 = [np.array([c]) for c in cs]
-                        t = float(_update_s3_vec(A1, C1, np.array([f_x]), h,
-                                                 n, stats)[0])
-                        if rolling:
-                            max_viol = max(max_viol, _node_violation(
-                                kind, t, a, cs, f_x, h, n))
-            except BisectionCapError as exc:
-                mi = head + (j,)
-                raise SolveError(f"{exc} at node {mi}", multi_index=mi) from exc
-
-            row_vals[j] = t
-            if rolling:
-                window.append(t)
-            else:
-                full[lin] = t
-
-        if rolling and use_closed:
-            max_viol = max(max_viol, _row_violation_2d(
-                kind, row_vals, prev_row, x_head[0], xs_axis, f_row, h))
         if error_fn is not None:
-            e = error_fn(row_vals, xs_row)
-            linf = max(linf, float(np.max(e)))
-        prev_row, row_vals = row_vals, prev_row
+            linf = float(np.maximum(linf, np.max(error_fn(vals, x))))
+        prev[lo:hi] = vals
+        flat = rows * R + last - offset
+        keep = flat >= 0
+        out[flat[keep]] = vals[keep]
 
-    W = None if rolling else full.reshape(spec.shape)
-    slab = window.final_slab() if rolling else None
-    return W, slab, (linf if error_fn is not None else None), max_viol, stats
-
-
-def _row_violation_2d(kind, row, prev, x1, xs_axis, f_row, h):
-    """Residual band-violation of one axis-2 row in a 2-d sweep (rolling
-    storage only; stored solves use residual_stats on the whole field)."""
-    if kind is SchemeKind.S3:
-        c1 = 2.0 * x1 / h
-        c2 = 2.0 * xs_axis / h
-        a1 = prev
-        a2 = np.concatenate(([0.0], row[:-1]))
-        q = np.maximum((1.0 + c1) * row - c1 * a1, 0.0) \
-            * np.maximum((1.0 + c2) * row - c2 * a2, 0.0)
-        return _violation(q, f_row, h)
-    if x1 == 0.0:
-        return float(np.max(np.abs(row)))
-    t = row[1:]
-    p = np.maximum(t - prev[1:], 0.0) * np.maximum(t - row[:-1], 0.0)
-    target = (h * h) * f_row[1:]
-    if kind is SchemeKind.S2:
-        target = target * t
-    return max(_violation(p, target, h), abs(float(row[0])))
-
-
-def _node_violation(kind, t, a, cs, f_x, h, n):
-    if kind is SchemeKind.S3:
-        q = 1.0
-        for j in range(n):
-            q *= max((1.0 + cs[j]) * t - cs[j] * a[j], 0.0)
-        return _violation(np.float64(q), np.float64(f_x), h)
-    p = 1.0
-    for aj in a:
-        p *= max(t - aj, 0.0)
-    hn = _pow_int(h, n)
-    if kind is SchemeKind.S1:
-        return _violation(np.float64(p), np.float64(hn * f_x), h)
-    return _violation(np.float64(p), np.float64((hn * f_x) * _pow_int(t, n - 1)), h)
-
-
-# ---------------------------------------------------------------------------
-# Residual certificate over a finished field
-# ---------------------------------------------------------------------------
-
-def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
-    """Max band-violation of the scheme's residual over the whole field.
-
-    Zero (up to float dust) certifies that every node is either inside the
-    (1+h) acceptance band or solved exactly (closed form / degenerate cases).
-    """
-    spec = field.spec
-    kind = SchemeKind.parse(kind)
-    n, h = spec.n, spec.h
-    V = field.values
-    F = _eval_rhs_full(f, spec)
-    if kind.has_boundary_condition:
-        inner = tuple([slice(1, None)] * n)
-        t = V[inner]
-        prod = None
-        for ax in range(n):
-            sl = [slice(1, None)] * n
-            sl[ax] = slice(None, -1)
-            a = V[tuple(sl)]
-            fac = np.maximum(t - a, 0.0)
-            prod = fac if prod is None else prod * fac
-        hn = _pow_int(h, n)
-        if kind is SchemeKind.S1:
-            target = hn * F[inner]
-        else:
-            den = t.copy()
-            for _ in range(n - 2):
-                den = den * t
-            target = (hn * F[inner]) * den
-        viol = _violation(prod, target, h)
-        # boundary nodes must hold exactly zero
-        for ax in range(n):
-            sl = [slice(None)] * n
-            sl[ax] = 0
-            viol = max(viol, float(np.max(np.abs(V[tuple(sl)]), initial=0.0)))
-        return viol
-    prod = None
-    for ax in range(n):
-        c_shape = [1] * n
-        c_shape[ax] = spec.m + 1
-        c = (n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape)
-        a = np.zeros_like(V)
-        sl_to = [slice(None)] * n
-        sl_to[ax] = slice(1, None)
-        sl_from = [slice(None)] * n
-        sl_from[ax] = slice(None, -1)
-        a[tuple(sl_to)] = V[tuple(sl_from)]
-        fac = np.maximum((1.0 + c) * V - c * a, 0.0)
-        prod = fac if prod is None else prod * fac
-    return _violation(prod, F, h)
+    return out, cert, (linf if error_fn is not None else None), stats
 
 
 # ---------------------------------------------------------------------------
 # Public solve
 # ---------------------------------------------------------------------------
 
-def solve(spec: GridSpec, kind, f, *, engine: str = "auto", storage: str = "full",
+def solve(spec: GridSpec, kind, f, *, storage: str = "full",
           force_bisection: bool = False, error_fn=None) -> SolveReport:
     """Solve one scheme over the grid in a single pass.
 
     f may be a nonnegative constant, a callable on a tuple of broadcastable
-    coordinate arrays, or a GridField on the same spec. With
+    coordinate arrays, or a GridField on the same spec; a negative or
+    non-finite value raises SolveError naming the node. With
     storage="rolling" the field is not retained; the report then carries the
-    final axis-1 slab and, if error_fn is given, the running sup of
-    error_fn(values, coords) over all nodes.
+    final axis-1 slab. If error_fn is given, the report carries the running
+    sup of error_fn(values, coords) over all nodes.
     """
     kind = SchemeKind.parse(kind)
     if storage not in ("full", "rolling"):
         raise ValueError(f"unknown storage mode {storage!r}")
-    if engine not in ("auto", "wavefront", "sweep"):
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        if storage == "rolling" and (spec.n > 2 or force_bisection):
-            engine = "sweep"
-        else:
-            engine = "wavefront"
-    if engine == "wavefront" and storage == "rolling" and (spec.n > 2 or force_bisection):
-        raise ValueError("rolling storage on the wavefront engine is only "
-                         "available for n=2 closed forms; use engine='sweep'")
-
     t0 = time.perf_counter()
-    stats = _BisectStats()
-    slab = None
-    linf = None
-    max_viol = 0.0
-
-    if engine == "wavefront":
-        if spec.n == 2 and not force_bisection:
-            W, slab, lf, max_viol = _solve_diag_2d(spec, kind, f,
-                                                   store=(storage == "full"),
-                                                   error_fn=error_fn)
-            linf = lf if error_fn is not None else None
-        else:
-            W, linf, stats = _solve_wavefront_nd(spec, kind, f, error_fn)
-    else:
-        W, slab, linf, max_viol, stats = _solve_sweep(
-            spec, kind, f, storage, force_bisection, error_fn)
-
-    field = GridField(spec, W) if W is not None else None
-    if field is not None:
-        max_viol = residual_stats(field, kind, f)
+    rolling = storage == "rolling"
+    out, cert, linf, stats = _solve_fronts(spec, kind, f, rolling,
+                                           force_bisection, error_fn)
     wall = time.perf_counter() - t0
     mean = stats.iters_total / stats.nodes if stats.nodes else 0.0
-    return SolveReport(spec=spec, kind=kind, engine=engine, storage=storage,
-                       field=field, max_band_violation=max_viol,
+    return SolveReport(spec=spec, kind=kind, storage=storage,
+                       field=None if rolling else GridField(spec, out),
+                       max_band_violation=cert,
                        bisect_nodes=stats.nodes, bisect_iters_max=stats.iters_max,
                        bisect_iters_mean=mean, wall_time=wall,
-                       linf_error=linf, final_slab=slab)
+                       linf_error=linf, final_slab=out if rolling else None)

@@ -80,6 +80,18 @@ def test_solve_field_file_rhs(tmp_path):
     assert np.max(np.abs(field.values - xs[0] * xs[1])) <= 1e-12
 
 
+def test_solve_nan_field_file_is_runtime_error(tmp_path, capsys):
+    spec = GridSpec(2, 8)
+    F = np.ones(spec.shape)
+    F[4, 4] = np.nan
+    GridField(spec, F).save_binary(tmp_path / "rhs.bin")
+    rc = run_cli("solve", "--scheme", "s2", "--field-file", str(tmp_path / "rhs.bin"),
+                 "--n", "2", "--m", "8", "--out", str(tmp_path))
+    assert rc == 1
+    assert "(4, 4)" in capsys.readouterr().err
+    assert not (tmp_path / "solve_s2_rhs_n2_m8.bin").exists()
+
+
 def test_solve_config_errors(tmp_path, capsys):
     # no rhs at all
     assert run_cli("solve", "--scheme", "s1", "--n", "2", "--m", "8",

@@ -1,12 +1,15 @@
 """Study harness: error metric, observed orders, mesh sequences, renderers,
 and determinism."""
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from hjsolve import convergence
 from hjsolve.convergence import (ConvergenceRow, StudySpec, default_mesh_sequence,
                                  linf_error, observed_order, render_csv,
                                  render_json, render_markdown, run_study)
@@ -104,6 +107,24 @@ def test_run_study_deterministic_and_parallel_identical():
     r2 = run_study(study1)
     r3 = run_study(study2)
     assert r1 == r2 == r3  # frozen dataclass rows compare by value
+
+
+def test_run_study_drops_each_field(monkeypatch):
+    # only the error of a row is kept; its field must be freed before the
+    # next row is solved
+    refs = []
+    real_solve = convergence.solve
+
+    def recording_solve(*args, **kwargs):
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        rep = real_solve(*args, **kwargs)
+        refs.append(weakref.ref(rep.field))
+        return rep
+
+    monkeypatch.setattr(convergence, "solve", recording_solve)
+    run_study(StudySpec(case=make_case("f2", 2), ms=(8, 16, 32)))
+    assert len(refs) == 9
 
 
 def test_render_markdown_layout():

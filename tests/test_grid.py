@@ -1,13 +1,14 @@
-"""Grid indexing, sweep order, rolling window, and file formats."""
+"""Grid indexing, sweep order, the solver's front index, rolling storage,
+and file formats."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hjsolve.grid import (GridField, GridSpec, RollingWindow, backward_offsets,
-                          sweep_order, wavefront_order)
-from hjsolve.schemes import solve
+from hjsolve.grid import GridField, GridSpec, sweep_order
+from hjsolve.schemes import _Fronts, solve
 from hjsolve.testcases import make_case
 
 
@@ -59,23 +60,16 @@ def test_sweep_order_backward_neighbors_first(n, m):
                 assert pos[nb] < p
 
 
-def test_backward_offsets_examples():
-    assert backward_offsets(GridSpec(2, 3)) == (4, 1)
-    assert backward_offsets(GridSpec(3, 9)) == (100, 10, 1)
-    assert backward_offsets(GridSpec(4, 1)) == (8, 4, 2, 1)
-
-
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 4), (4, 2)])
 def test_index_roundtrip_small(n, m):
     spec = GridSpec(n, m)
     for lin, mi in enumerate(sweep_order(spec)):
         assert spec.linear_index(mi) == lin
         assert spec.multi_index(lin) == mi
-        off = backward_offsets(spec)
         for ax in range(n):
             if mi[ax] >= 1:
                 nb = tuple(v - (1 if j == ax else 0) for j, v in enumerate(mi))
-                assert spec.linear_index(nb) == lin - off[ax]
+                assert spec.linear_index(nb) == lin - (m + 1) ** (n - 1 - ax)
 
 
 def test_index_roundtrip_million_nodes():
@@ -93,71 +87,79 @@ def test_index_roundtrip_million_nodes():
         assert spec.linear_index(mi) == probe
 
 
-def test_wavefront_order_partitions_by_digit_sum():
-    spec = GridSpec(3, 4)
-    order, offsets = wavefront_order(spec)
-    seen = set()
-    for d in range(3 * 4 + 1):
-        for lin in order[offsets[d]:offsets[d + 1]]:
-            mi = spec.multi_index(int(lin))
-            assert sum(mi) == d
-            seen.add(int(lin))
-    assert len(seen) == spec.num_nodes
+def test_front_index_partitions_by_digit_sum():
+    for n, m in ((2, 5), (3, 4), (4, 3)):
+        spec = GridSpec(n, m)
+        fronts = _Fronts(spec)
+        heads = [tuple(int(i[p]) for i in fronts.idx)
+                 for p in range(fronts.row.size)]
+        seen = set()
+        for d in range(n * m + 1):
+            lo, hi = fronts.span(d)
+            for p in range(lo, hi):
+                mi = fronts.node(p, d)
+                assert sum(mi) == d and 0 <= mi[-1] <= m and mi not in seen
+                assert spec.linear_index(mi) == fronts.row[p] * (m + 1) + mi[-1]
+                seen.add(mi)
+                # backward neighbors along head axes sit on front d-1
+                for j in range(n - 1):
+                    if mi[j] >= 1:
+                        q = fronts.back[j][p]
+                        assert heads[q] == tuple(v - (k == j) for k, v in
+                                                 enumerate(heads[p]))
+                        assert d - 1 - sum(heads[q]) == mi[-1]
+        assert len(seen) == spec.num_nodes
 
 
-def test_rolling_window_neighbor_visibility():
-    spec = GridSpec(3, 5)
-    win = RollingWindow(spec)
-    assert win.capacity == 36 + 1
-    offs = backward_offsets(spec)
-    for lin, mi in enumerate(sweep_order(spec)):
-        if all(i >= 1 for i in mi):
-            for off in offs:
-                win.value_at(lin - off)  # must not have left the window
-        win.append(float(lin))
-    assert win.count == spec.num_nodes
-    slab = win.final_slab()
-    assert slab[0] == spec.linear_index((5, 0, 0))
-    assert slab[-1] == spec.num_nodes - 1
-
-
-def test_rolling_window_eviction():
-    spec = GridSpec(2, 3)
-    win = RollingWindow(spec)
-    for v in range(10):
-        win.append(float(v))
-    with pytest.raises(IndexError):
-        win.value_at(10 - win.capacity - 1)
-    with pytest.raises(IndexError):
-        win.value_at(10)
-
-
-@pytest.mark.parametrize("n,m,kind,case_name", [
-    (2, 31, "s1", "f2"),
-    (2, 31, "s2", "f3"),
-    (2, 31, "s3", "f2"),
-    (3, 9, "s2", "f3"),
-    (3, 9, "s3", "f2"),
+@pytest.mark.parametrize("n,m,kind,case_name,force", [
+    pytest.param(2, 31, "s1", "f2", False, id="2-31-s1-f2"),
+    pytest.param(2, 31, "s2", "f3", False, id="2-31-s2-f3"),
+    pytest.param(2, 31, "s3", "f2", False, id="2-31-s3-f2"),
+    pytest.param(3, 9, "s2", "f3", False, id="3-9-s2-f3"),
+    pytest.param(3, 9, "s3", "f2", False, id="3-9-s3-f2"),
+    pytest.param(4, 5, "s1", "f3", False, id="4-5-s1-f3"),
+    pytest.param(4, 5, "s3", "f2", False, id="4-5-s3-f2"),
+    pytest.param(2, 17, "s2", "f2", True, id="2-17-s2-f2-bisect"),
+    pytest.param(2, 17, "s3", "f3", True, id="2-17-s3-f3-bisect"),
 ])
-def test_rolling_equals_full_bitwise(n, m, kind, case_name):
+def test_rolling_equals_full_bitwise(n, m, kind, case_name, force):
     case = make_case(case_name, n)
     spec = GridSpec(n, m)
     err = lambda vals, xs: np.abs(vals - 0.0)  # running sup of the raw values
-    full = solve(spec, kind, case.f, error_fn=err)
-    roll = solve(spec, kind, case.f, engine="sweep", storage="rolling", error_fn=err)
+    full = solve(spec, kind, case.f, force_bisection=force, error_fn=err)
+    roll = solve(spec, kind, case.f, force_bisection=force, storage="rolling",
+                 error_fn=err)
     slab_full = full.field.values[-1].reshape(-1)
     assert np.array_equal(roll.final_slab, slab_full)
     assert roll.linf_error == full.linf_error
+    assert roll.max_band_violation == full.max_band_violation
+    assert roll.bisect_nodes == full.bisect_nodes
 
 
 def test_rolling_equals_full_bitwise_million_nodes():
-    # 10^6-node equivalence run; constant rhs keeps the scalar engine cheap
+    # 10^6-node equivalence run
     spec = GridSpec(2, 999)
     err = lambda vals, xs: vals
     full = solve(spec, "s2", 1.0, error_fn=err)
-    roll = solve(spec, "s2", 1.0, engine="sweep", storage="rolling", error_fn=err)
+    roll = solve(spec, "s2", 1.0, storage="rolling", error_fn=err)
     assert np.array_equal(roll.final_slab, full.field.values[-1].reshape(-1))
     assert roll.linf_error == full.linf_error
+
+
+@pytest.mark.parametrize("n,m", [(2, 999), (3, 100)])
+def test_rolling_memory_stays_front_sized(n, m):
+    # rolling storage keeps O((m+1)^(n-1)) values, never the whole field: at
+    # these sizes the front temporaries stay well below half the field bytes
+    spec = GridSpec(n, m)
+    case = make_case("f2", n)
+    tracemalloc.start()
+    try:
+        solve(spec, "s2", case.f, storage="rolling",
+              error_fn=lambda vals, xs: np.abs(vals - case.u(xs)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < spec.num_nodes * 8 / 2
 
 
 def test_binary_roundtrip(tmp_path):

@@ -1,6 +1,8 @@
-"""Full-grid solves: engine equivalence, exactness on constants, comparison
-bounds between schemes, residual certificates, and the discrete Lipschitz
-estimate."""
+"""Full-grid solves: equality with the scalar oracle, exactness on
+constants, comparison bounds between schemes, residual certificates,
+rejection of invalid right-hand sides, and the discrete Lipschitz estimate."""
+
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +11,8 @@ from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import SchemeKind, SolveError, residual_stats, solve
 from hjsolve.testcases import make_case
 
+from props import oracle_solve
+
 BAND_EPS = 1e-12
 
 
@@ -16,19 +20,19 @@ BAND_EPS = 1e-12
     (2, 24, "s1", "f1", False),
     (2, 24, "s2", "f2", False),
     (2, 24, "s3", "f3", False),
-    (2, 15, "s1", "f2", True),   # forced bisection, digit-sum engine
+    (2, 15, "s1", "f2", True),   # forced bisection
     (2, 15, "s3", "f2", True),
     (3, 8, "s1", "f3", False),
     (3, 8, "s2", "f2", False),
     (3, 8, "s3", "f1", False),
     (4, 4, "s2", "f3", False),
 ])
-def test_wavefront_equals_sweep_bitwise(n, m, kind, case_name, force):
+def test_engine_equals_oracle_bitwise(n, m, kind, case_name, force):
     case = make_case(case_name, n)
     spec = GridSpec(n, m)
-    wf = solve(spec, kind, case.f, engine="wavefront", force_bisection=force)
-    sw = solve(spec, kind, case.f, engine="sweep", force_bisection=force)
-    assert np.array_equal(wf.field.values, sw.field.values)
+    rep = solve(spec, kind, case.f, force_bisection=force)
+    ref = oracle_solve(spec, kind, case.f, force_bisection=force)
+    assert np.array_equal(rep.field.values, ref)
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
@@ -38,19 +42,17 @@ def test_streaming_2d_matches_full(kind):
     err = lambda vals, xs: np.abs(vals - case.u(xs))
     full = solve(spec, kind, case.f, error_fn=err)
     stream = solve(spec, kind, case.f, storage="rolling", error_fn=err)
-    assert stream.engine == "wavefront"
     assert stream.linf_error == full.linf_error
     assert np.array_equal(stream.final_slab, full.field.values[-1])
     assert stream.max_band_violation <= 1e-12
 
 
-def test_rolling_with_bisection_requires_sweep():
+def test_rolling_n3_keeps_only_final_slab():
     spec = GridSpec(3, 4)
-    with pytest.raises(ValueError):
-        solve(spec, "s1", 1.0, engine="wavefront", storage="rolling")
+    full = solve(spec, "s1", 1.0)
     rep = solve(spec, "s1", 1.0, storage="rolling")
-    assert rep.engine == "sweep"
     assert rep.field is None
+    assert np.array_equal(rep.final_slab, full.field.values[-1].reshape(-1))
 
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
@@ -117,8 +119,10 @@ def test_residual_certificate(n, m, kind, case_name, force):
     spec = GridSpec(n, m)
     rep = solve(spec, kind, case.f, force_bisection=force)
     assert rep.max_band_violation <= 1e-12
-    # independent recomputation over the final field
-    assert residual_stats(rep.field, kind, case.f) <= 1e-12
+    # the per-front certificate equals the independent whole-field one
+    assert rep.max_band_violation == residual_stats(rep.field, kind, case.f)
+    roll = solve(spec, kind, case.f, force_bisection=force, storage="rolling")
+    assert roll.max_band_violation == rep.max_band_violation
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2"])
@@ -222,7 +226,51 @@ def test_negative_rhs_reports_node():
     assert err.value.multi_index is not None
 
     with pytest.raises(SolveError):
-        solve(spec, "s3", f, engine="sweep")
+        solve(spec, "s3", f, storage="rolling")
+
+
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_rhs_reports_node(bad, n, kind, storage):
+    spec = GridSpec(n, 8)
+    F = np.ones(spec.shape)
+    F[(4,) * n] = bad
+    with pytest.raises(SolveError) as err:
+        solve(spec, kind, GridField(spec, F), storage=storage)
+    assert err.value.multi_index == (4,) * n
+
+
+def test_nonfinite_callable_rhs_reports_node():
+    spec = GridSpec(3, 8)
+
+    def f(xs):
+        x1, x2, x3 = np.broadcast_arrays(*xs)
+        return np.where((x1 == 0.5) & (x2 == 0.5) & (x3 == 0.5), np.nan, 1.0)
+
+    with pytest.raises(SolveError) as err:
+        solve(spec, "s2", f)
+    assert err.value.multi_index == (4, 4, 4)
+
+
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+def test_certificate_infinite_on_overflow(storage):
+    # b = h^2 f is finite but b*b overflows in the S2 closed form, so the
+    # field turns inf/nan
+    with np.errstate(all="ignore"):
+        rep = solve(GridSpec(2, 8), "s2", 1e308, storage=storage)
+    assert rep.max_band_violation == math.inf
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("node", [(4, 4), (0, 3)], ids=["interior", "boundary"])
+def test_residual_stats_infinite_on_nan_node(kind, node):
+    spec = GridSpec(2, 8)
+    V = solve(spec, kind, 1.0).field.values.copy()
+    V[node] = np.nan
+    with np.errstate(all="ignore"):
+        assert residual_stats(GridField(spec, V), kind, 1.0) == math.inf
 
 
 def test_rhs_from_grid_field_matches_callable():
