@@ -26,8 +26,6 @@ from .schemes import SchemeKind, SolveError, solve
 from .testcases import (DEFAULT_C, DEFAULT_K, parse_case, u_from_v_values,
                         u_from_w_values)
 
-DEFAULT_MEM_CAP = 8 << 30
-
 
 class ConfigError(Exception):
     pass
@@ -41,7 +39,7 @@ def _mem_cap(args) -> int:
     if args.mem_cap is not None:
         return args.mem_cap
     env = os.environ.get("HJSOLVE_MEM_CAP")
-    return int(env) if env else DEFAULT_MEM_CAP
+    return int(env) if env else conv.FULL_STORAGE_BYTE_CAP
 
 
 def _out_dir(args) -> Path:

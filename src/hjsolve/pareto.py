@@ -248,10 +248,11 @@ def pde_rank(cloud: PointCloud, u_field: GridField) -> np.ndarray:
     return vals
 
 
-def rank_agreement(fronts: np.ndarray, ranks: np.ndarray,
-                   chunk: int = 2048) -> float:
+def rank_agreement(fronts: np.ndarray, ranks: np.ndarray) -> float:
     """Fraction of point pairs with distinct front indices whose rank order
-    matches their front order (strictly; rank ties count as disagreement)."""
+    matches their front order (strictly; rank ties count as disagreement).
+
+    Pairs are counted in row blocks, each boolean block about 4 MiB."""
     fronts = np.asarray(fronts)
     ranks = np.asarray(ranks, dtype=np.float64)
     if fronts.shape != ranks.shape or fronts.ndim != 1:
@@ -259,11 +260,12 @@ def rank_agreement(fronts: np.ndarray, ranks: np.ndarray,
     N = len(fronts)
     if N < 2:
         raise ValueError("rank agreement undefined for fewer than 2 points")
+    block = max(1, (4 << 20) // N)
     match = 0
     total = 0
-    for start in range(0, N, chunk):
-        fl = fronts[start:start + chunk, None]
-        rl = ranks[start:start + chunk, None]
+    for start in range(0, N, block):
+        fl = fronts[start:start + block, None]
+        rl = ranks[start:start + block, None]
         f_lt = fl < fronts[None, :]
         f_gt = fl > fronts[None, :]
         r_lt = rl < ranks[None, :]

@@ -11,14 +11,17 @@ values a_i and the right-hand side f at the node:
 In dimension 2 every update is a quadratic solved in closed form. In higher
 dimensions the root is bracketed and bisected until the residual product lands
 in the multiplicative band [target, (1+h)*target], which keeps the iteration
-error below the truncation error of the scheme.
+error below the truncation error of the scheme. Each equation is written once,
+as the (product, target) pair of _residual; the one bisection kernel and the
+residual certificate both evaluate it.
 
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. Each
 front is checked for a finite nonnegative right-hand side, folded into the
 residual certificate and the error, and scattered into the full field or,
-with rolling storage, only into the final i_1 = m slab.
+with rolling storage, only into the final i_1 = m slab. A node whose value,
+product or target is not finite stops the solve with a SolveError naming it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,96 +132,53 @@ def _s3_closed(x1, x2, a1, a2, h, f):
     return (C + np.sqrt(D * D + P * ((h * h) * f))) / P
 
 
-# ---------------------------------------------------------------------------
-# Band bisection (n >= 3, and n = 2 when bisection is forced)
-# ---------------------------------------------------------------------------
-
-def _band_bisect(residual, lo, hi, target, band):
-    """Vectorized bisection into the band [target, (1+band)*target].
-
-    residual(t, idx) evaluates the (nondecreasing) residual for the subset
-    idx of the problem batch. Preconditions: residual(lo) < target and
-    residual(hi) >= target, elementwise. The upper endpoint is accepted
-    outright when it already lies in the band. Returns (roots, iterations).
-    """
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    upper = (1.0 + band) * target
-    t_out = np.empty_like(lo)
-    iters = np.zeros(lo.shape, dtype=np.int64)
-
-    all_idx = np.arange(lo.size)
-    r = residual(hi, all_idx)
-    done = r <= upper
-    t_out[done] = hi[done]
-    act = np.nonzero(~done)[0]
-    lo = lo[act]
-    hi = hi[act]
-    tgt = target[act]
-    up = upper[act]
-
-    it = 0
-    while act.size:
-        it += 1
-        if it > BISECTION_CAP:
-            raise BisectionCapError(
-                f"bisection exceeded {BISECTION_CAP} iterations for "
-                f"{act.size} node(s)", local_indices=act)
-        mid = 0.5 * (lo + hi)
-        r = residual(mid, act)
-        ok = (r >= tgt) & (r <= up)
-        stuck = (mid <= lo) | (mid >= hi)
-        take = ok | stuck
-        if take.any():
-            sel = np.nonzero(take)[0]
-            # a stuck interval has collapsed to float resolution; its upper
-            # endpoint carries residual >= target and is the best answer
-            t_out[act[sel]] = np.where(ok[sel], mid[sel], hi[sel])
-            iters[act[sel]] = it
-            keep = ~take
-            act = act[keep]
-            lo = lo[keep]
-            hi = hi[keep]
-            mid = mid[keep]
-            r = r[keep]
-            tgt = tgt[keep]
-            up = up[keep]
-        high = r > up
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    return t_out, iters
-
-
-def bisect_max_root(residual: Callable[[float], float], interval, target: float,
-                    band: float) -> float:
-    """Largest-root band search for one monotone scalar residual.
-
-    Finds t in `interval` = (lo, hi) with residual(t) in
-    [target, (1+band)*target]. Requires residual(hi) >= target and residual
-    nondecreasing on the interval.
-    """
-    lo, hi = interval
-    if hi < lo:
-        raise ValueError(f"invalid interval: hi={hi} < lo={lo}")
-    if target < 0.0:
-        raise ValueError(f"target must be nonnegative, got {target}")
-    if residual(hi) < target:
-        raise ValueError("invalid interval: residual at hi is below the target band")
-
-    def vec_res(t, idx):
-        return np.asarray([residual(float(t[0]))])
-
-    t, _ = _band_bisect(vec_res, np.array([lo]), np.array([hi]),
-                        np.array([target]), band)
-    return float(t[0])
+def _closed(kind, A, x, f, h):
+    """Closed-form n = 2 update of `kind` for neighbors A and coordinates x."""
+    if kind is SchemeKind.S1:
+        return _s1_closed(A[0], A[1], h, f)
+    if kind is SchemeKind.S2:
+        return _s2_closed(A[0], A[1], h, f)
+    return _s3_closed(x[0], x[1], A[0], A[1], h, f)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized node updates.  A is the list of n backward-neighbor arrays in
-# axis order; C (S3 only) the per-axis arrays c_i = n*x_i/h.  Scalar updates
-# run the very same code on length-1 arrays.
+# Scheme residual and band bisection (n >= 3, and n = 2 when bisection is
+# forced).  A is the list of n backward-neighbor arrays in axis order; C
+# (S3 only) the per-axis weights c_i = n*x_i/h; b the scaled right-hand side.
 # ---------------------------------------------------------------------------
+
+def _pow_int(base: float, exponent: int) -> float:
+    out = base
+    for _ in range(exponent - 1):
+        out = out * base
+    return out
+
+
+def _scaled_rhs(kind, f, h, n):
+    """The right-hand side b of the node equation: h^n f for S1/S2, f for S3."""
+    return f if kind is SchemeKind.S3 else _pow_int(h, n) * f
+
+
+def _residual(kind, t, A, C, b, n):
+    """(product, target) of the node equation of the module docstring at t,
+    with b in place of h^n f (S1, S2) or f (S3). The root finder and the
+    certificate both evaluate the equation here, so they agree bit for bit."""
+    prod = None
+    if kind is SchemeKind.S3:
+        for a, c in zip(A, C):
+            fac = np.maximum((1.0 + c) * t - c * a, 0.0)
+            prod = fac if prod is None else prod * fac
+        return prod, b
+    for a in A:
+        fac = np.maximum(t - a, 0.0)
+        prod = fac if prod is None else prod * fac
+    if kind is SchemeKind.S2:
+        den = t
+        for _ in range(n - 2):
+            den = den * t
+        return prod, b * den
+    return prod, b
+
 
 class _BisectStats:
     __slots__ = ("nodes", "iters_total", "iters_max")
@@ -229,117 +188,80 @@ class _BisectStats:
         self.iters_total = 0
         self.iters_max = 0
 
-    def add(self, iters: np.ndarray) -> None:
-        self.nodes += iters.size
-        self.iters_total += int(iters.sum())
-        self.iters_max = max(self.iters_max, int(iters.max(initial=0)))
+
+def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
+    """Bisect the batch nodes `act` into the band [target, (1+h)*target] of
+    their residual and write the roots into t[act].
+
+    A, C, b, lo and hi hold the values of the nodes in `act`, and shrink with
+    it as nodes finish. Preconditions: product < target at lo and
+    product >= target at hi. The upper endpoint is accepted outright when it
+    already lies in the band. A node whose interval collapses to float
+    resolution takes its upper endpoint, whose product is >= target.
+    """
+    stats.nodes += act.size
+    prod, target = _residual(kind, hi, A, C, b, n)
+    done = prod <= (1.0 + h) * target
+    t[act[done]] = hi[done]
+    keep = np.nonzero(~done)[0]
+    it = 0
+    while keep.size:
+        if keep.size < act.size:
+            act, b, lo, hi = act[keep], b[keep], lo[keep], hi[keep]
+            A = [a[keep] for a in A]
+            if C is not None:
+                C = [c[keep] for c in C]
+        it += 1
+        if it > BISECTION_CAP:
+            raise BisectionCapError(
+                f"bisection exceeded {BISECTION_CAP} iterations for "
+                f"{act.size} node(s)", local_indices=act)
+        mid = 0.5 * (lo + hi)
+        prod, target = _residual(kind, mid, A, C, b, n)
+        upper = (1.0 + h) * target
+        ok = (prod >= target) & (prod <= upper)
+        take = ok | (mid <= lo) | (mid >= hi)
+        if take.any():
+            sel = np.nonzero(take)[0]
+            t[act[sel]] = np.where(ok[sel], mid[sel], hi[sel])
+            stats.iters_total += it * sel.size
+            stats.iters_max = max(stats.iters_max, it)
+            keep = np.nonzero(~take)[0]
+        high = prod > upper
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
 
 
-def _pow_int(base: float, exponent: int) -> float:
-    out = base
-    for _ in range(exponent - 1):
-        out = out * base
-    return out
-
-
-def _run_bisect(res, lo, hi, target, band, nz):
-    """_band_bisect with cap diagnostics remapped from the bisected subset
-    back to the caller's batch indices."""
-    try:
-        return _band_bisect(res, lo, hi, target, band)
-    except BisectionCapError as exc:
-        exc.local_indices = nz[exc.local_indices]
-        raise
-
-
-def _maxa(A: Sequence[np.ndarray]) -> np.ndarray:
-    out = A[0].copy()
-    for a in A[1:]:
-        np.maximum(out, a, out=out)
-    return out
-
-
-def _update_s1_vec(A, f, h, n, stats: _BisectStats) -> np.ndarray:
-    B = _pow_int(h, n) * f
-    t = _maxa(A)
-    nz = np.nonzero(B > 0.0)[0]
-    if nz.size:
-        Az = [a[nz] for a in A]
-
-        def res(tt, idx):
-            aa = [a[idx] for a in Az]
-            r = np.maximum(tt - aa[0], 0.0)
-            for j in range(1, n):
-                r = r * np.maximum(tt - aa[j], 0.0)
-            return r
-
-        lo = t[nz]
-        hi = lo + h * np.power(f[nz], 1.0 / n)
-        roots, iters = _run_bisect(res, lo, hi, B[nz], h, nz)
-        t[nz] = roots
-        stats.add(iters)
-    return t
-
-
-def _update_s2_vec(A, f, h, n, stats: _BisectStats) -> np.ndarray:
-    b = _pow_int(h, n) * f
-    maxa = _maxa(A)
-    t = maxa.copy()
+def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
+    """Largest roots of the node equation for a batch of nodes; nodes with
+    f = 0 keep the lower bracket. BisectionCapError carries batch indices."""
+    b = _scaled_rhs(kind, f, h, n)
+    if kind is SchemeKind.S3:
+        lo = C[0] * A[0] / (1.0 + C[0])
+        for j in range(1, n):
+            np.maximum(lo, C[j] * A[j] / (1.0 + C[j]), out=lo)
+    else:
+        lo = A[0].copy()
+        for a in A[1:]:
+            np.maximum(lo, a, out=lo)
+    t = lo.copy()
     pos = b > 0.0
-    corner = pos & (maxa <= 0.0)
-    t[corner] = b[corner]  # all a_i = 0: t^n = b t^(n-1)
-    nz = np.nonzero(pos & (maxa > 0.0))[0]
+    if kind is SchemeKind.S2:
+        corner = pos & (lo <= 0.0)
+        t[corner] = b[corner]  # all a_i = 0: t^n = b t^(n-1)
+        pos &= lo > 0.0
+    nz = np.nonzero(pos)[0]
     if nz.size:
-        Az = [a[nz] for a in A]
-
-        def res(tt, idx):
-            # G(t) = prod (t - a_i)_+ / t^(n-1), strictly increasing past max a
-            aa = [a[idx] for a in Az]
-            r = np.maximum(tt - aa[0], 0.0)
-            for j in range(1, n):
-                r = r * np.maximum(tt - aa[j], 0.0)
-            den = tt
-            for _ in range(n - 2):
-                den = den * tt
-            return r / den
-
-        lo = maxa[nz]
-        hi = Az[0].copy()
-        for a in Az[1:]:
-            hi = hi + a
-        hi = hi + b[nz]  # S(a, b) <= sum a_i + b
-        roots, iters = _run_bisect(res, lo, hi, b[nz], h, nz)
-        t[nz] = roots
-        stats.add(iters)
-    return t
-
-
-def _update_s3_vec(A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
-    sigma = C[0] * A[0] / (1.0 + C[0])
-    for j in range(1, n):
-        np.maximum(sigma, C[j] * A[j] / (1.0 + C[j]), out=sigma)
-    t = sigma.copy()
-    nz = np.nonzero(f > 0.0)[0]
-    if nz.size:
-        Az = [a[nz] for a in A]
-        Cz = [c[nz] for c in C]
-
-        def res(tt, idx):
-            aa = [a[idx] for a in Az]
-            cc = [c[idx] for c in Cz]
-            r = np.maximum((1.0 + cc[0]) * tt - cc[0] * aa[0], 0.0)
-            for j in range(1, n):
-                r = r * np.maximum((1.0 + cc[j]) * tt - cc[j] * aa[j], 0.0)
-            return r
-
-        prodc = 1.0 + Cz[0]
-        for c in Cz[1:]:
-            prodc = prodc * (1.0 + c)
-        lo = sigma[nz]
-        hi = lo + np.power(f[nz] / prodc, 1.0 / n)
-        roots, iters = _run_bisect(res, lo, hi, f[nz], h, nz)
-        t[nz] = roots
-        stats.add(iters)
+        A = [a[nz] for a in A]
+        lo = lo[nz]
+        if kind is SchemeKind.S1:
+            hi = lo + h * np.power(f[nz], 1.0 / n)
+        elif kind is SchemeKind.S2:
+            hi = sum(A[1:], A[0]) + b[nz]  # S(a, b) <= sum a_i + b
+        else:
+            C = [c[nz] for c in C]
+            hi = lo + np.power(f[nz] / math.prod(1.0 + c for c in C), 1.0 / n)
+        _band_root(kind, t, nz, A, C, b[nz], lo, hi, h, n, stats)
     return t
 
 
@@ -347,44 +269,42 @@ def _update_s3_vec(A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
 # Scalar updates (public operations)
 # ---------------------------------------------------------------------------
 
-def _scalar_via_vec(kind: SchemeKind, inp: UpdateInputs, cs=None) -> float:
+def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
+    """One node update by closed form or bisection. The bisection runs the
+    engine's batch kernel on length-1 arrays; for S3 the weights default to
+    c_i = n*x_i/h, and `cs` overrides them."""
+    inp.validate()
+    if kind is SchemeKind.S3:
+        if len(inp.x) != inp.n:
+            raise SchemeDomainError(f"expected {inp.n} coordinates, got {len(inp.x)}")
+        if any(xi < 0.0 for xi in inp.x):
+            raise SchemeDomainError(f"negative coordinate in x={inp.x}")
+    if method == "auto":
+        method = "closed" if inp.n == 2 else "bisect"
+    if method == "closed":
+        if inp.n != 2:
+            raise ValueError("closed form only available in n=2")
+        return float(_closed(kind, inp.a, inp.x, inp.f_x, inp.h))
+    if method != "bisect":
+        raise ValueError(f"unknown method {method!r}; expected auto, closed or bisect")
     A = [np.array([ai], dtype=np.float64) for ai in inp.a]
-    f = np.array([inp.f_x], dtype=np.float64)
-    stats = _BisectStats()
-    if kind is SchemeKind.S1:
-        t = _update_s1_vec(A, f, inp.h, inp.n, stats)
-    elif kind is SchemeKind.S2:
-        t = _update_s2_vec(A, f, inp.h, inp.n, stats)
-    else:
+    C = None
+    if kind is SchemeKind.S3:
         if cs is None:
             cs = [inp.n * xi / inp.h for xi in inp.x]
         C = [np.array([c], dtype=np.float64) for c in cs]
-        t = _update_s3_vec(A, C, f, inp.h, inp.n, stats)
-    return float(t[0])
+    f = np.array([inp.f_x], dtype=np.float64)
+    return float(_update_vec(kind, A, C, f, inp.h, inp.n, _BisectStats())[0])
 
 
 def s1_update(inp: UpdateInputs, method: str = "auto") -> float:
     """Largest t with prod (t - a_i)_+ = h^n f. Closed form in n=2."""
-    inp.validate()
-    if method == "auto":
-        method = "closed" if inp.n == 2 else "bisect"
-    if method == "closed":
-        if inp.n != 2:
-            raise ValueError("closed form only available in n=2")
-        return float(_s1_closed(inp.a[0], inp.a[1], inp.h, inp.f_x))
-    return _scalar_via_vec(SchemeKind.S1, inp)
+    return _update(SchemeKind.S1, inp, method)
 
 
 def s2_update(inp: UpdateInputs, method: str = "auto") -> float:
     """Maximal root of prod (t - a_i)_+ = (h^n f) t^(n-1). Closed form in n=2."""
-    inp.validate()
-    if method == "auto":
-        method = "closed" if inp.n == 2 else "bisect"
-    if method == "closed":
-        if inp.n != 2:
-            raise ValueError("closed form only available in n=2")
-        return float(_s2_closed(inp.a[0], inp.a[1], inp.h, inp.f_x))
-    return _scalar_via_vec(SchemeKind.S2, inp)
+    return _update(SchemeKind.S2, inp, method)
 
 
 def s3_update(inp: UpdateInputs, method: str = "auto") -> float:
@@ -393,19 +313,7 @@ def s3_update(inp: UpdateInputs, method: str = "auto") -> float:
     Factors with x_i = 0 collapse to t alone; at the origin the update is
     exactly f^(1/n).
     """
-    inp.validate()
-    if len(inp.x) != inp.n:
-        raise SchemeDomainError(f"expected {inp.n} coordinates, got {len(inp.x)}")
-    if any(xi < 0.0 for xi in inp.x):
-        raise SchemeDomainError(f"negative coordinate in x={inp.x}")
-    if method == "auto":
-        method = "closed" if inp.n == 2 else "bisect"
-    if method == "closed":
-        if inp.n != 2:
-            raise ValueError("closed form only available in n=2")
-        return float(_s3_closed(inp.x[0], inp.x[1], inp.a[0], inp.a[1],
-                                inp.h, inp.f_x))
-    return _scalar_via_vec(SchemeKind.S3, inp)
+    return _update(SchemeKind.S3, inp, method)
 
 
 # ---------------------------------------------------------------------------
@@ -459,40 +367,17 @@ def _front_rhs(f, spec: GridSpec):
 # ---------------------------------------------------------------------------
 
 def _violation(product, target, band):
-    """How far the residual product falls outside [target, (1+band)*target],
-    relative to target; absolute where target == 0. Infinite as soon as a
-    product or target is not finite."""
-    if not (np.isfinite(product).all() and np.isfinite(target).all()):
-        return math.inf
+    """Per node, how far the residual product falls outside
+    [target, (1+band)*target], relative to target; absolute where
+    target == 0; infinite where the product or target is not finite. The
+    engine runs it once per front, residual_stats once over a whole field,
+    with the same arithmetic staging."""
     out = np.where(target > 0.0,
                    np.maximum(np.maximum(target - product,
                                          product - (1.0 + band) * target), 0.0)
                    / np.where(target > 0.0, target, 1.0),
                    product)
-    return float(np.max(out, initial=0.0))
-
-
-def _band_violation(kind, t, A, C, f, h, n):
-    """Band violation of the scheme residual at nodes t, given the backward
-    neighbors A (axis order), the S3 weights C = n*i and the rhs f. The
-    engine runs it once per front, residual_stats once over a whole field,
-    with the same arithmetic staging."""
-    prod = None
-    if kind is SchemeKind.S3:
-        for a, c in zip(A, C):
-            fac = np.maximum((1.0 + c) * t - c * a, 0.0)
-            prod = fac if prod is None else prod * fac
-        return _violation(prod, f, h)
-    for a in A:
-        fac = np.maximum(t - a, 0.0)
-        prod = fac if prod is None else prod * fac
-    target = _pow_int(h, n) * f
-    if kind is SchemeKind.S2:
-        den = t
-        for _ in range(n - 2):
-            den = den * t
-        target = target * den
-    return _violation(prod, target, h)
+    return np.where(np.isfinite(product) & np.isfinite(target), out, math.inf)
 
 
 def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
@@ -514,27 +399,29 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
             sl = [slice(1, None)] * n
             sl[ax] = slice(None, -1)
             A.append(V[tuple(sl)])
-        viol = _band_violation(kind, V[inner], A, None, F[inner], h, n)
+        b = _scaled_rhs(kind, F[inner], h, n)
+        parts = [_violation(*_residual(kind, V[inner], A, None, b, n), h)]
         # boundary nodes must hold exactly zero
         for ax in range(n):
             sl = [slice(None)] * n
             sl[ax] = 0
-            viol = max(viol, _violation(np.abs(V[tuple(sl)]), 0.0, h))
-        return viol
-    A = []
-    C = []
-    for ax in range(n):
-        c_shape = [1] * n
-        c_shape[ax] = spec.m + 1
-        C.append((n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape))
-        a = np.zeros_like(V)
-        sl_to = [slice(None)] * n
-        sl_to[ax] = slice(1, None)
-        sl_from = [slice(None)] * n
-        sl_from[ax] = slice(None, -1)
-        a[tuple(sl_to)] = V[tuple(sl_from)]
-        A.append(a)
-    return _band_violation(kind, V, A, C, F, h, n)
+            parts.append(_violation(np.abs(V[tuple(sl)]), 0.0, h))
+    else:
+        A = []
+        C = []
+        for ax in range(n):
+            c_shape = [1] * n
+            c_shape[ax] = spec.m + 1
+            C.append((n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape))
+            a = np.zeros_like(V)
+            sl_to = [slice(None)] * n
+            sl_to[ax] = slice(1, None)
+            sl_from = [slice(None)] * n
+            sl_from[ax] = slice(None, -1)
+            a[tuple(sl_to)] = V[tuple(sl_from)]
+            A.append(a)
+        parts = [_violation(*_residual(kind, V, A, C, F, n), h)]
+    return max(float(p.max(initial=0.0)) for p in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +501,6 @@ class _Fronts:
         return tuple(int(i[p]) for i in self.idx) + (d - int(self.sum[p]),)
 
 
-def _front_update(kind, closed, A, C, x, f, h, n, stats):
-    if closed:
-        if kind is SchemeKind.S1:
-            return _s1_closed(A[0], A[1], h, f)
-        if kind is SchemeKind.S2:
-            return _s2_closed(A[0], A[1], h, f)
-        return _s3_closed(x[0], x[1], A[0], A[1], h, f)
-    if kind is SchemeKind.S1:
-        return _update_s1_vec(A, f, h, n, stats)
-    if kind is SchemeKind.S2:
-        return _update_s2_vec(A, f, h, n, stats)
-    return _update_s3_vec(A, C, f, h, n, stats)
-
-
 def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
     compute front d; each front is scattered into the full field, or with
@@ -674,14 +547,26 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
             A.append(np.where(last >= 1, prev[lo:hi], 0.0))
             C = [(n * i).astype(np.float64) for i in hidx + [last]]
             fs = fd
+
+        def node(k):
+            """Multi-index of entry k of the update batch."""
+            return fronts.node(lo + (k if sel is None else int(sel[k])), d)
+
         try:
-            t = _front_update(kind, closed, A, C, x, fs, h, n, stats)
+            t = (_closed(kind, A, x, fs, h) if closed
+                 else _update_vec(kind, A, C, fs, h, n, stats))
         except BisectionCapError as exc:
-            k = int(exc.local_indices[0])
-            node = fronts.node(lo + (k if sel is None else int(sel[k])), d)
-            raise SolveError(f"{exc} (first at node {node})",
-                             multi_index=node) from exc
-        cert = max(cert, _band_violation(kind, t, A, C, fs, h, n))
+            bad = node(int(exc.local_indices[0]))
+            raise SolveError(f"{exc} (first at node {bad})",
+                             multi_index=bad) from exc
+        b = _scaled_rhs(kind, fs, h, n)
+        viol = _violation(*_residual(kind, t, A, C, b, n), h)
+        worst = float(viol.max(initial=0.0))
+        if worst == math.inf:
+            bad = node(int(np.argmax(viol)))
+            raise SolveError(f"non-finite value, product or target at node {bad}",
+                             multi_index=bad)
+        cert = max(cert, worst)
         if sel is None:
             vals = t
         else:
@@ -708,7 +593,8 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
 
     f may be a nonnegative constant, a callable on a tuple of broadcastable
     coordinate arrays, or a GridField on the same spec; a negative or
-    non-finite value raises SolveError naming the node. With
+    non-finite value raises SolveError naming the node, as does a node whose
+    value, product or target overflows. With
     storage="rolling" the field is not retained; the report then carries the
     final axis-1 slab. If error_fn is given, the report carries the running
     sup of error_fn(values, coords) over all nodes.

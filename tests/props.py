@@ -6,8 +6,8 @@ import math
 import numpy as np
 
 from hjsolve.grid import GridField, sweep_order
-from hjsolve.schemes import (SchemeKind, UpdateInputs, _scalar_via_vec,
-                             s1_update, s2_update, s3_update)
+from hjsolve.schemes import (SchemeKind, UpdateInputs, _update, s1_update,
+                             s2_update, s3_update)
 
 
 def oracle_root(g, lo, hi, iters=200):
@@ -74,34 +74,39 @@ def oracle_s3(x, a, h, f):
     return oracle_root(g, lo, hi)
 
 
+def node_update(spec, kind, W, F, mi, method="auto"):
+    """Scalar update of node mi from its backward neighbors in W, as the
+    engine computes it: S3 gets the exact weights c_i = n*i_i rather than
+    n*x_i/h."""
+    n = spec.n
+    xs = spec.axis_coords()
+    a = tuple(W[mi[:ax] + (mi[ax] - 1,) + mi[ax + 1:]] if mi[ax] >= 1 else 0.0
+              for ax in range(n))
+    inp = UpdateInputs(n=n, h=spec.h, x=tuple(xs[i] for i in mi),
+                       f_x=float(F[mi]), a=a)
+    cs = [float(n * i) for i in mi] if kind is SchemeKind.S3 else None
+    return _update(kind, inp, method, cs)
+
+
+def rhs_values(spec, f) -> np.ndarray:
+    if isinstance(f, GridField):
+        return f.values
+    return np.broadcast_to(np.asarray(f(spec.mesh()), dtype=np.float64),
+                           spec.shape)
+
+
 def oracle_solve(spec, kind, f, force_bisection=False) -> np.ndarray:
     """Scalar reference solve: every node in lexicographic order through the
-    public update of its scheme, which is the bitwise reference for the
-    vectorized engine. S1/S2 keep zeros on the boundary faces. S3 passes the
-    weights c_i = n*i_i exactly, as the engine does, rather than n*x_i/h."""
+    scalar update of its scheme, which is the bitwise reference for the
+    vectorized engine. S1/S2 keep zeros on the boundary faces."""
     kind = SchemeKind.parse(kind)
-    n, h = spec.n, spec.h
-    if isinstance(f, GridField):
-        F = f.values
-    else:
-        F = np.broadcast_to(np.asarray(f(spec.mesh()), dtype=np.float64),
-                            spec.shape)
+    F = rhs_values(spec, f)
     method = "bisect" if force_bisection else "auto"
-    update = {SchemeKind.S1: s1_update, SchemeKind.S2: s2_update,
-              SchemeKind.S3: s3_update}[kind]
-    xs = spec.axis_coords()
     W = np.zeros(spec.shape)
     for mi in sweep_order(spec):
         if kind.has_boundary_condition and min(mi) == 0:
             continue
-        a = tuple(W[mi[:ax] + (mi[ax] - 1,) + mi[ax + 1:]] if mi[ax] >= 1 else 0.0
-                  for ax in range(n))
-        inp = UpdateInputs(n=n, h=h, x=tuple(xs[i] for i in mi),
-                           f_x=float(F[mi]), a=a)
-        if kind is SchemeKind.S3 and (n > 2 or force_bisection):
-            W[mi] = _scalar_via_vec(kind, inp, cs=[float(n * i) for i in mi])
-        else:
-            W[mi] = update(inp, method=method)
+        W[mi] = node_update(spec, kind, W, F, mi, method)
     return W
 
 

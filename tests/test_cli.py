@@ -92,6 +92,16 @@ def test_solve_nan_field_file_is_runtime_error(tmp_path, capsys):
     assert not (tmp_path / "solve_s2_rhs_n2_m8.bin").exists()
 
 
+def test_solve_overflow_is_runtime_error(tmp_path, capsys):
+    # finite rhs, but the S2 closed form overflows at the first interior node
+    with np.errstate(all="ignore"):
+        rc = run_cli("solve", "--scheme", "s2", "--case", "const:1e308",
+                     "--n", "2", "--m", "8", "--out", str(tmp_path))
+    assert rc == 1
+    assert "(1, 1)" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_config_errors(tmp_path, capsys):
     # no rhs at all
     assert run_cli("solve", "--scheme", "s1", "--n", "2", "--m", "8",

@@ -148,6 +148,23 @@ def test_agreement_random_is_half():
     assert 0.45 <= a <= 0.55
 
 
+def test_agreement_equals_pair_count_across_row_blocks():
+    # 4000 points are counted in four row blocks; few fronts and rounded
+    # ranks give ties in both
+    rng = np.random.default_rng(11)
+    N = 4000
+    fronts = rng.integers(1, 12, size=N)
+    ranks = np.round(rng.random(N) + 0.05 * fronts, 2)
+    match = total = 0
+    for i in range(N - 1):
+        df = np.sign(fronts[i] - fronts[i + 1:])
+        dr = np.sign(ranks[i] - ranks[i + 1:])
+        total += int(np.count_nonzero(df))
+        match += int(np.count_nonzero((df != 0) & (df == dr)))
+    assert 0 < match < total
+    assert rank_agreement(fronts, ranks) == match / total
+
+
 def test_agreement_needs_two_points_and_two_fronts():
     with pytest.raises(ValueError):
         rank_agreement(np.array([1]), np.array([0.5]))

@@ -1,12 +1,12 @@
-"""Node updates and root solvers: worked examples, high-precision oracles,
+"""Node updates and the band bisection: worked examples, high-precision oracles,
 and smoke-sized randomized property checks (the acceptance suite reruns the
 same checks at the full 10^4 sample count)."""
 
 import numpy as np
 import pytest
 
-from hjsolve.schemes import (SchemeDomainError, UpdateInputs, bisect_max_root,
-                             s1_update, s2_update, s3_update)
+from hjsolve.schemes import (SchemeDomainError, UpdateInputs, s1_update,
+                             s2_update, s3_update)
 
 from props import (check_closed_vs_bisection, check_lower_bound,
                    check_monotonicity, check_s2_sum_bound, make_inp,
@@ -84,38 +84,31 @@ def test_update_input_validation():
         s1_update(UpdateInputs(n=1, h=0.1, x=(0.5,), f_x=1.0, a=(0.0,)))
 
 
+def test_update_rejects_unknown_method():
+    for update in (s1_update, s2_update, s3_update):
+        with pytest.raises(ValueError, match="unknown method"):
+            update(make_inp(3, 0.1, 1.0, (0.2, 0.1, 0.3)), method="newton")
+    with pytest.raises(ValueError, match="closed form"):
+        s1_update(make_inp(3, 0.1, 1.0, (0.2, 0.1, 0.3)), method="closed")
+
+
 # ---------------------------------------------------------------------------
-# bisect_max_root
+# Band bisection
 # ---------------------------------------------------------------------------
 
 def test_bisect_accepts_exact_upper_endpoint():
-    # S1 residual with equal neighbors: the interval's upper endpoint
-    # max a + h f^(1/n) is already the exact root
-    a = (0.0, 0.0, 0.0)
-    h, f = 0.1, 1.0
-    target = h ** 3 * f
-
-    def residual(t):
-        p = 1.0
-        for ai in a:
-            p *= max(t - ai, 0.0)
-        return p
-
-    hi = max(a) + h * f ** (1.0 / 3.0)
-    t = bisect_max_root(residual, (max(a), hi), target, band=h)
-    assert t == hi == pytest.approx(0.1, abs=1e-15)
+    # equal neighbors: the bracket's upper endpoint max a + h f^(1/n) is
+    # already the exact root, so it is returned without bisecting
+    t = s1_update(make_inp(3, 0.1, 1.0, (0.0, 0.0, 0.0)), method="bisect")
+    assert t == 0.1
 
 
 def test_bisect_s2_form_tiny_rhs():
     a = (0.5, 0.0)
-    b = 1e-6
     h = 0.05
-
-    def residual(t):
-        return max(t - a[0], 0.0) * max(t - a[1], 0.0) / t
-
-    t = bisect_max_root(residual, (0.5, sum(a) + b), b, band=h)
-    exact = oracle_s2(a, 1.0, b)  # h**n * f == b when h=1
+    f = 1e-6 / h ** 2  # h^n f = 1e-6
+    t = s2_update(make_inp(2, h, f, a), method="bisect")
+    exact = oracle_s2(a, h, f)
     assert exact <= t * (1.0 + 1e-12)
     assert t <= exact * (1.0 + h) * (1.0 + 1e-12)
 
@@ -129,13 +122,6 @@ def test_bisect_s3_zero_coordinate_degenerates():
     t = s3_update(make_inp(n, h, f, a, x=x), method="bisect")
     exact = oracle_s3(x, a, h, f)
     assert exact - 1e-12 <= t <= exact * (1.0 + h) + 1e-12
-
-
-def test_bisect_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        bisect_max_root(lambda t: t, (1.0, 0.5), 1.0, band=0.1)
-    with pytest.raises(ValueError):
-        bisect_max_root(lambda t: t, (0.0, 0.5), 10.0, band=0.1)
 
 
 # ---------------------------------------------------------------------------

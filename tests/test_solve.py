@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from hjsolve import schemes
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import SchemeKind, SolveError, residual_stats, solve
+from hjsolve.schemes import (BisectionCapError, SchemeKind, SolveError,
+                             residual_stats, solve)
 from hjsolve.testcases import make_case
 
-from props import oracle_solve
+from props import node_update, oracle_solve, rhs_values
 
 BAND_EPS = 1e-12
 
@@ -257,10 +259,44 @@ def test_nonfinite_callable_rhs_reports_node():
 @pytest.mark.parametrize("storage", ["full", "rolling"])
 def test_certificate_infinite_on_overflow(storage):
     # b = h^2 f is finite but b*b overflows in the S2 closed form, so the
-    # field turns inf/nan
-    with np.errstate(all="ignore"):
-        rep = solve(GridSpec(2, 8), "s2", 1e308, storage=storage)
-    assert rep.max_band_violation == math.inf
+    # first interior node turns inf and the solve fails there
+    with np.errstate(all="ignore"), pytest.raises(SolveError) as err:
+        solve(GridSpec(2, 8), "s2", 1e308, storage=storage)
+    assert err.value.multi_index == (1, 1)
+
+
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("kind,case_name,cap", [("s1", "f2", 4), ("s3", "f2", 6)])
+def test_bisection_cap_names_first_failing_node(kind, case_name, cap, storage,
+                                               monkeypatch):
+    # S1 bisects only the inner nodes of each front (selected by index),
+    # S3 every node; either way the error must name the first node, in
+    # front order, whose own update needs more bisections than the cap.
+    # The caps make that node neither the first of its front nor the first
+    # still bisecting.
+    spec = GridSpec(3, 8)
+    case = make_case(case_name, 3)
+    kind = SchemeKind.parse(kind)
+    W = solve(spec, kind, case.f).field.values
+    F = rhs_values(spec, case.f)
+    monkeypatch.setattr(schemes, "BISECTION_CAP", cap)
+
+    def exceeds(mi):
+        if kind.has_boundary_condition and min(mi) == 0:
+            return False
+        try:
+            node_update(spec, kind, W, F, mi)
+        except BisectionCapError:
+            return True
+        return False
+
+    with pytest.raises(SolveError) as err:
+        solve(spec, kind, case.f, storage=storage)
+    bad = err.value.multi_index
+    assert exceeds(bad)
+    # fronts run in order of digit sum, each in lexicographic order
+    assert not any(exceeds(mi) for mi in np.ndindex(*spec.shape)
+                   if (sum(mi), mi) < (sum(bad), bad))
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
