@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import convergence as conv
@@ -23,8 +24,7 @@ from .grid import GridField, GridSpec
 from .pareto import (CloudFormatError, PointsOutsideDomainError, load_cloud_csv,
                      pareto_fronts, pde_rank, rank_agreement, save_ranked_csv)
 from .schemes import SchemeKind, SolveError, solve
-from .testcases import (DEFAULT_C, DEFAULT_K, parse_case, u_from_v_values,
-                        u_from_w_values)
+from .testcases import DEFAULT_C, DEFAULT_K, parse_case
 
 
 class ConfigError(Exception):
@@ -49,12 +49,16 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _guard_full_storage(spec: GridSpec, cap: int) -> None:
+def _guard_full_storage(spec: GridSpec, args) -> None:
+    """Refuse a full-grid field above the memory cap, before any work is
+    done. Only `solve` can stream instead, so only it suggests rolling."""
     need = spec.num_nodes * 8
+    cap = _mem_cap(args)
     if need > cap:
+        rolling = "--storage rolling or " if args.command == "solve" else ""
         raise ConfigError(
             f"full-grid field needs {need} bytes for n={spec.n}, m={spec.m}, "
-            f"above the cap of {cap}; rerun with --storage rolling or raise "
+            f"above the cap of {cap}; rerun with {rolling}a larger "
             f"--mem-cap / HJSOLVE_MEM_CAP")
 
 
@@ -84,7 +88,7 @@ def _rhs_source(args, spec: GridSpec):
     if not args.case:
         raise ConfigError("a right-hand side is required: --case or --field-file")
     case = parse_case(args.case, spec.n, k=args.k, C=args.bigc)
-    return case, _safe_label(case.label)
+    return case.f, _safe_label(case.label)
 
 
 # ---------------------------------------------------------------------------
@@ -93,11 +97,9 @@ def _rhs_source(args, spec: GridSpec):
 
 def cmd_solve(args) -> int:
     spec = GridSpec(args.n, args.m)
-    cap = _mem_cap(args)
     if args.storage == "full":
-        _guard_full_storage(spec, cap)
-    rhs, label = _rhs_source(args, spec)
-    f = rhs.f if hasattr(rhs, "f") else rhs
+        _guard_full_storage(spec, args)
+    f, label = _rhs_source(args, spec)
 
     rep = solve(spec, args.scheme, f, storage=args.storage,
                 force_bisection=args.force_bisection)
@@ -146,6 +148,9 @@ def cmd_convergence(args) -> int:
     study = conv.StudySpec(case=case, schemes=schemes, ms=tuple(ms),
                            jobs=args.jobs, force_bisection=args.force_bisection,
                            byte_cap=_mem_cap(args))
+    if args.emit_levelsets:
+        level_spec = GridSpec(args.n, max(ms))
+        _guard_full_storage(level_spec, args)
     rows = conv.run_study(study)
 
     title = f"case {case.label}, n={args.n}"
@@ -165,12 +170,11 @@ def cmd_convergence(args) -> int:
         print(f"wrote {p}", file=sys.stderr)
     if args.emit_levelsets:
         out = _out_dir(args)
-        m = max(ms)
         for kind in schemes:
             p = out / (f"levelset_{kind.value}_{_safe_label(case.label)}"
-                       f"_n{args.n}_m{m}.csv")
-            conv.write_levelset_csv(p, case, kind, m,
-                                    force_bisection=args.force_bisection)
+                       f"_n{args.n}_m{level_spec.m}.csv")
+            conv.u_field(level_spec, kind, case.f,
+                         force_bisection=args.force_bisection).save_csv(p)
             print(f"wrote {p}", file=sys.stderr)
     return 0
 
@@ -180,23 +184,17 @@ def cmd_convergence(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_pareto(args) -> int:
+    spec = GridSpec(args.n, args.m)
+    _guard_full_storage(spec, args)
+    f, label = _rhs_source(args, spec)
+    kind = SchemeKind.parse(args.scheme)
     cloud = load_cloud_csv(args.input, args.n)
     work = cloud if args.no_normalize else cloud.normalized()
-    fronts = pareto_fronts(work, method=args.method)
+    fronts = pareto_fronts(work)
 
-    spec = GridSpec(args.n, args.m)
-    _guard_full_storage(spec, _mem_cap(args))
-    rhs, label = _rhs_source(args, spec)
-    f = rhs.f if hasattr(rhs, "f") else rhs
-    kind = SchemeKind.parse(args.scheme)
-    rep = solve(spec, kind, f)
-    vals = rep.field.values
-    if kind is SchemeKind.S2:
-        vals = u_from_v_values(vals, spec.n)
-    elif kind is SchemeKind.S3:
-        vals = u_from_w_values(vals, spec.mesh(), spec.n)
-    u_field = GridField(spec, vals)
-
+    t0 = time.perf_counter()
+    u_field = conv.u_field(spec, kind, f)
+    wall = time.perf_counter() - t0
     ranks = pde_rank(work, u_field)
     try:
         agreement = rank_agreement(fronts, ranks)
@@ -218,7 +216,7 @@ def cmd_pareto(args) -> int:
         "n": args.n,
         "m": args.m,
         "normalized": not args.no_normalize,
-        "wall_time_s": rep.wall_time,
+        "wall_time_s": wall,
     }
     rp = out / f"{stem}_pareto.report.json"
     _write_report(rp, report)
@@ -295,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--case", help="f1 | f2 | f3 | const:<c>")
     pp.add_argument("--field-file", help="pre-solved field instead of --case")
     pp.add_argument("--scheme", default="s2", help="scheme for the ranking field")
-    pp.add_argument("--method", default="auto", choices=("auto", "generic", "fast2d"),
-                    help="front-peeling implementation")
     pp.add_argument("--no-normalize", action="store_true",
                     help="skip per-axis min/max normalization into [0,1]^n")
     pp.set_defaults(func=cmd_pareto)

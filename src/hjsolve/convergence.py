@@ -1,10 +1,10 @@
 """Convergence-study harness: mesh sequences, sup-norm errors against exact
 solutions, observed orders, and table rendering.
 
-Errors are always measured on the u scale: S1 fields directly, S2 through
-u = n v^(1/n), S3 through u = n (x_1...x_n)^(1/n) w. The default mesh
-sequences per dimension are m = 40*4^k (n=2), m = 20*2^k (n=3) and
-m = 4*2^k (n=4) for k = 0..5, truncatable via max_k.
+Errors and level sets are always on the u scale (testcases.to_u maps S2's v
+and S3's w back to u). The default mesh sequences per dimension are
+m = 40*4^k (n=2), m = 20*2^k (n=3) and m = 4*2^k (n=4) for k = 0..5,
+truncatable via max_k.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import GridField, GridSpec
 from .schemes import SchemeKind, solve
-from .testcases import TestCase, u_from_v_values, u_from_w_values
+from .testcases import TestCase, to_u
 
 _SEQUENCES = {2: (40, 4), 3: (20, 2), 4: (4, 2)}
 
@@ -76,21 +76,23 @@ def observed_order(e_prev: float, e_cur: float, h_prev: float, h_cur: float) -> 
 def u_scale_error_fn(kind: SchemeKind, case: TestCase):
     """Per-node |numeric - exact| on the u scale, as a function of the raw
     solved values and the node coordinates."""
-    n = case.n
-    if kind is SchemeKind.S1:
-        return lambda vals, xs: np.abs(vals - case.u(xs))
-    if kind is SchemeKind.S2:
-        return lambda vals, xs: np.abs(u_from_v_values(vals, n) - case.u(xs))
-    return lambda vals, xs: np.abs(u_from_w_values(vals, xs, n) - case.u(xs))
+    return lambda vals, xs: np.abs(to_u(kind, vals, xs, case.n) - case.u(xs))
+
+
+def u_field(spec: GridSpec, kind, f, force_bisection: bool = False) -> GridField:
+    """Solve with full storage and return the field on the u scale."""
+    rep = solve(spec, kind, f, force_bisection=force_bisection)
+    return GridField(spec, to_u(kind, rep.field.values, spec.mesh(), spec.n))
 
 
 def _solve_row(case: TestCase, kind: SchemeKind, m: int, force_bisection: bool,
-               byte_cap: int) -> float:
-    """u-scale sup error of one row solve; the field is dropped at once."""
+               byte_cap: int, jobs: int) -> float:
+    """u-scale sup error of one row solve; the field is dropped at once.
+    Each of the `jobs` concurrent rows holds its own field, so full storage
+    is used only while all of them fit under byte_cap together."""
     spec = GridSpec(case.n, m)
     err = u_scale_error_fn(kind, case)
-    field_bytes = spec.num_nodes * 8
-    storage = "full" if field_bytes <= byte_cap else "rolling"
+    storage = "full" if jobs * spec.num_nodes * 8 <= byte_cap else "rolling"
     return solve(spec, kind, case.f, storage=storage,
                  force_bisection=force_bisection, error_fn=err).linf_error
 
@@ -104,7 +106,7 @@ def run_study(study: StudySpec) -> dict[SchemeKind, list[ConvergenceRow]]:
     def work(pair):
         kind, m = pair
         return _solve_row(study.case, kind, m, study.force_bisection,
-                          study.byte_cap)
+                          study.byte_cap, study.jobs)
 
     if study.jobs == 1:
         errors = {pair: work(pair) for pair in pairs}
@@ -189,15 +191,3 @@ def render_json(rows_by_scheme: dict[SchemeKind, list[ConvergenceRow]],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-def write_levelset_csv(path, case: TestCase, kind: SchemeKind, m: int,
-                       force_bisection: bool = False) -> None:
-    """Contour-ready node data (coordinates and u value, one node per row)."""
-    spec = GridSpec(case.n, m)
-    rep = solve(spec, kind, case.f, force_bisection=force_bisection)
-    vals = rep.field.values
-    if kind is SchemeKind.S2:
-        vals = u_from_v_values(vals, case.n)
-    elif kind is SchemeKind.S3:
-        vals = u_from_w_values(vals, spec.mesh(), case.n)
-    GridField(spec, vals).save_csv(path)

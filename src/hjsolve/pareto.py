@@ -184,21 +184,14 @@ def _fronts_2d(points: np.ndarray) -> np.ndarray:
     return fronts
 
 
-def pareto_fronts(cloud: PointCloud, method: str = "auto") -> np.ndarray:
-    """1-based front index per point (empty cloud allowed -> empty labels)."""
+def pareto_fronts(cloud: PointCloud) -> np.ndarray:
+    """1-based front index per point (empty cloud allowed -> empty labels),
+    by the 2-d sweep for n=2 and generic peeling otherwise."""
     pts = np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud,
                      dtype=np.float64)
     if pts.size == 0:
         return np.empty(0, dtype=np.int64)
-    if method == "auto":
-        method = "fast2d" if pts.shape[1] == 2 else "generic"
-    if method == "fast2d":
-        if pts.shape[1] != 2:
-            raise ValueError("fast2d path requires n=2")
-        return _fronts_2d(pts)
-    if method == "generic":
-        return _fronts_generic(pts)
-    raise ValueError(f"unknown method {method!r}")
+    return _fronts_2d(pts) if pts.shape[1] == 2 else _fronts_generic(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ BISECTION_CAP = 200
 
 
 class SchemeDomainError(ValueError):
-    """Negative right-hand side or neighbor value fed to an update."""
+    """Negative or non-finite input fed to an update."""
 
 
 class BisectionCapError(RuntimeError):
@@ -91,14 +91,16 @@ class UpdateInputs:
     def validate(self) -> None:
         if self.n < 2:
             raise SchemeDomainError(f"n must be >= 2, got {self.n}")
-        if not self.h > 0.0:
-            raise SchemeDomainError(f"h must be positive, got {self.h}")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise SchemeDomainError(f"h must be positive and finite, got {self.h}")
         if len(self.a) != self.n:
             raise SchemeDomainError(f"expected {self.n} neighbor values, got {len(self.a)}")
-        if self.f_x < 0.0:
-            raise SchemeDomainError(f"negative right-hand side f={self.f_x}")
-        if any(ai < 0.0 for ai in self.a):
-            raise SchemeDomainError(f"negative neighbor value in a={self.a}")
+        if not (self.f_x >= 0.0 and math.isfinite(self.f_x)):
+            raise SchemeDomainError(
+                f"negative or non-finite right-hand side f={self.f_x}")
+        if not all(ai >= 0.0 and math.isfinite(ai) for ai in self.a):
+            raise SchemeDomainError(
+                f"negative or non-finite neighbor value in a={self.a}")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +279,8 @@ def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
     if kind is SchemeKind.S3:
         if len(inp.x) != inp.n:
             raise SchemeDomainError(f"expected {inp.n} coordinates, got {len(inp.x)}")
-        if any(xi < 0.0 for xi in inp.x):
-            raise SchemeDomainError(f"negative coordinate in x={inp.x}")
+        if not all(xi >= 0.0 and math.isfinite(xi) for xi in inp.x):
+            raise SchemeDomainError(f"negative or non-finite coordinate in x={inp.x}")
     if method == "auto":
         method = "closed" if inp.n == 2 else "bisect"
     if method == "closed":

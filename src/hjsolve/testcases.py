@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridField
+from .schemes import SchemeKind
 
 DEFAULT_K = 20.0
 DEFAULT_C = 10.0
@@ -208,6 +209,17 @@ def w_from_u_values(u: np.ndarray, xs, n: int) -> np.ndarray:
         return np.where(prod > 0.0, u / np.where(prod > 0.0, prod, 1.0) / n, 0.0)
 
 
+def to_u(kind, values: np.ndarray, xs, n: int) -> np.ndarray:
+    """u-scale values of a solved field at the nodes xs: S1 values are u
+    already, S2 solves for v and S3 for w."""
+    kind = SchemeKind.parse(kind)
+    if kind is SchemeKind.S2:
+        return u_from_v_values(values, n)
+    if kind is SchemeKind.S3:
+        return u_from_w_values(values, xs, n)
+    return values
+
+
 def u_from_v(v_field: GridField) -> GridField:
     return GridField(v_field.spec, u_from_v_values(v_field.values, v_field.spec.n))
 
@@ -225,15 +237,3 @@ def w_from_u(u_field: GridField) -> GridField:
     spec = u_field.spec
     return GridField(spec, w_from_u_values(u_field.values, spec.mesh(), spec.n))
 
-
-def exact_w(case: TestCase, xs) -> np.ndarray:
-    """Exact w profile of a case (u / (n (x_1...x_n)^(1/n))), defined by
-    continuity at the boundary for the builtin cases."""
-    if case.name == "const":
-        c = case.params["c"]
-        return np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
-                                     for x in xs))[0] * 0.0 + float(np.power(c, 1.0 / case.n))
-    if case.name == "f3":
-        C = case.params["C"]
-        return w3(xs, case.n, C) / (C + case.n)
-    return w_from_u_values(case.u(xs), xs, case.n)

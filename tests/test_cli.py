@@ -159,6 +159,28 @@ def test_convergence_levelsets(tmp_path, capsys):
     assert len(levels.read_text().splitlines()) == 17 * 17
 
 
+def test_convergence_levelset_guard_refuses_before_study(tmp_path, capsys):
+    # the m=8 level-set field needs 648 bytes; nothing may be printed or written
+    rc = run_cli("convergence", "--case", "const:1", "--n", "2", "--m-list", "4,8",
+                 "--mem-cap", "100", "--emit-levelsets", "--out", str(tmp_path))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "648 bytes" in err and "--storage" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_pareto_guard_does_not_suggest_rolling(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0.1,0.2\n0.5,0.4\n")
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
+                 "--case", "const:1", "--mem-cap", "100", "--out", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "648 bytes" in err and "--storage" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+
+
 def test_pareto_toy_cloud(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("1,2\n2,1\n3,3\n")

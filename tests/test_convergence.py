@@ -99,6 +99,40 @@ def test_run_study_rolling_fallback_matches_full():
     assert full == rolled
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_byte_cap_scales_with_jobs(monkeypatch, jobs):
+    # each concurrent row holds a full field, so the cap must cover jobs of
+    # them; a cap between one and two fields runs full only with jobs=1
+    storages = []
+    real_solve = convergence.solve
+
+    def recording_solve(*args, **kwargs):
+        storages.append(kwargs["storage"])
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(convergence, "solve", recording_solve)
+    case = make_case("f2", 2)
+    ms = (30, 32)
+    cap = 3 * GridSpec(2, 32).num_nodes * 8 // 2  # 1.5 fields at m=32
+    assert 2 * GridSpec(2, 30).num_nodes * 8 > cap
+    rows = run_study(StudySpec(case=case, ms=ms, jobs=jobs, byte_cap=cap))
+    assert storages == ["full" if jobs == 1 else "rolling"] * 6
+    monkeypatch.setattr(convergence, "solve", real_solve)
+    assert rows == run_study(StudySpec(case=case, ms=ms))
+
+
+def test_u_field_on_the_u_scale():
+    # the level-set field and the streamed error agree on what u is
+    case = make_case("f3", 3)
+    spec = GridSpec(3, 10)
+    for kind in SchemeKind:
+        field = convergence.u_field(spec, kind, case.f)
+        err = np.max(np.abs(field.values - case.u(spec.mesh())))
+        rep = convergence.solve(spec, kind, case.f, storage="rolling",
+                                error_fn=convergence.u_scale_error_fn(kind, case))
+        assert err == pytest.approx(rep.linf_error, rel=1e-12, abs=0.0)
+
+
 def test_run_study_deterministic_and_parallel_identical():
     case = make_case("f2", 2)
     study1 = StudySpec(case=case, ms=(10, 20, 40))

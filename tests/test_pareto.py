@@ -6,8 +6,9 @@ import pytest
 
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.pareto import (CloudFormatError, PointCloud, PointsOutsideDomainError,
-                            load_cloud_csv, pareto_fronts, pde_rank,
-                            rank_agreement, save_ranked_csv)
+                            _fronts_2d, _fronts_generic, load_cloud_csv,
+                            pareto_fronts, pde_rank, rank_agreement,
+                            save_ranked_csv)
 from hjsolve.schemes import solve
 from hjsolve.testcases import u_from_v
 
@@ -51,18 +52,17 @@ def test_fronts_match_bruteforce(n):
         pts = rng.random((N, n))
         if trial % 3 == 0:
             pts = np.round(pts, 1)  # ties and duplicates
-        cloud = PointCloud(pts)
         expected = peel_bruteforce(pts)
-        assert np.array_equal(pareto_fronts(cloud, method="generic"), expected)
+        assert np.array_equal(_fronts_generic(pts), expected)
+        assert np.array_equal(pareto_fronts(PointCloud(pts)), expected)
         if n == 2:
-            assert np.array_equal(pareto_fronts(cloud, method="fast2d"), expected)
+            assert np.array_equal(_fronts_2d(pts), expected)
 
 
 def test_fast2d_matches_generic_medium():
     rng = np.random.default_rng(9)
-    pts = PointCloud(rng.random((4000, 2)))
-    assert np.array_equal(pareto_fronts(pts, method="fast2d"),
-                          pareto_fronts(pts, method="generic"))
+    pts = rng.random((4000, 2))
+    assert np.array_equal(_fronts_2d(pts), _fronts_generic(pts))
 
 
 def test_empty_cloud():

@@ -84,6 +84,22 @@ def test_update_input_validation():
         s1_update(UpdateInputs(n=1, h=0.1, x=(0.5,), f_x=1.0, a=(0.0,)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("method", ["auto", "bisect"])
+def test_update_rejects_non_finite_inputs(bad, n, method):
+    a = (0.2,) * n
+    x = (0.5,) * n
+    cases = [make_inp(n, 0.1, bad, a), make_inp(n, bad, 1.0, a),
+             make_inp(n, 0.1, 1.0, (bad,) + a[1:])]
+    for update in (s1_update, s2_update, s3_update):
+        for inp in cases:
+            with pytest.raises(SchemeDomainError):
+                update(inp, method=method)
+    with pytest.raises(SchemeDomainError):
+        s3_update(make_inp(n, 0.1, 1.0, a, x=x[:-1] + (bad,)), method=method)
+
+
 def test_update_rejects_unknown_method():
     for update in (s1_update, s2_update, s3_update):
         with pytest.raises(ValueError, match="unknown method"):

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.testcases import (f3, make_case, parse_case, u_from_v, u_from_w,
-                               v_from_u, w3, w_from_u)
+from hjsolve.schemes import SchemeKind
+from hjsolve.testcases import (f3, make_case, parse_case, to_u, u_from_v,
+                               u_from_w, v_from_u, w3, w_from_u)
 
 
 def test_f1_indicator_values():
@@ -182,6 +183,19 @@ def test_w_u_roundtrip_interior():
     back = w_from_u(u_from_w(w))
     assert np.max(np.abs(back.values[1:, 1:] - w.values[1:, 1:])) <= 1e-12
     assert np.all(back.values[0, :] == 0.0)  # boundary convention
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_to_u_dispatches_by_scheme(n):
+    spec = GridSpec(n, 6)
+    vals = GridField(spec, np.random.default_rng(79).uniform(0.0, 2.0, spec.shape))
+    xs = spec.mesh()
+    assert to_u(SchemeKind.S1, vals.values, xs, n) is vals.values
+    assert np.array_equal(to_u(SchemeKind.S2, vals.values, xs, n),
+                          u_from_v(vals).values)
+    assert np.array_equal(to_u(SchemeKind.S3, vals.values, xs, n),
+                          u_from_w(vals).values)
+    assert np.array_equal(to_u("s2", vals.values, xs, n), u_from_v(vals).values)
 
 
 def test_u_from_v_rejects_genuinely_negative():
