@@ -17,12 +17,14 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import convergence as conv
 from .grid import GridField, GridSpec
-from .pareto import (CloudFormatError, PointsOutsideDomainError, load_cloud_csv,
-                     pareto_fronts, pde_rank, rank_agreement, save_ranked_csv)
+from .pareto import (CloudFormatError, PointsOutsideDomainError,
+                     check_in_unit_cube, load_cloud_csv, pareto_fronts,
+                     pde_rank, rank_agreement, save_ranked_csv)
 from .schemes import SchemeKind, SolveError, solve
 from .testcases import DEFAULT_C, DEFAULT_K, parse_case
 
@@ -51,15 +53,27 @@ def _out_dir(args) -> Path:
 
 def _guard_full_storage(spec: GridSpec, args) -> None:
     """Refuse a full-grid field above the memory cap, before any work is
-    done. Only `solve` can stream instead, so only it suggests rolling."""
-    need = spec.num_nodes * 8
+    done. `solve` holds the field; `pareto` and `--emit-levelsets` also hold
+    one field-sized temporary of the u-scale transform (convergence.u_field),
+    so they are charged twice. Only `solve` can stream instead, so only it
+    suggests rolling."""
+    field = spec.num_nodes * 8
+    need = field if args.command == "solve" else 2 * field
     cap = _mem_cap(args)
     if need > cap:
         rolling = "--storage rolling or " if args.command == "solve" else ""
         raise ConfigError(
-            f"full-grid field needs {need} bytes for n={spec.n}, m={spec.m}, "
-            f"above the cap of {cap}; rerun with {rolling}a larger "
-            f"--mem-cap / HJSOLVE_MEM_CAP")
+            f"full-grid field of {field} bytes for n={spec.n}, m={spec.m} "
+            f"needs {need} bytes, above the cap of {cap}; rerun with "
+            f"{rolling}a larger --mem-cap / HJSOLVE_MEM_CAP")
+
+
+@contextmanager
+def _timed(phases: dict[str, float], name: str):
+    """Record the wall time of the block as phases[name], in seconds."""
+    t0 = time.perf_counter()
+    yield
+    phases[name] = time.perf_counter() - t0
 
 
 def _write_report(path: Path, payload: dict) -> None:
@@ -188,24 +202,29 @@ def cmd_pareto(args) -> int:
     _guard_full_storage(spec, args)
     f, label = _rhs_source(args, spec)
     kind = SchemeKind.parse(args.scheme)
-    cloud = load_cloud_csv(args.input, args.n)
-    work = cloud if args.no_normalize else cloud.normalized()
-    fronts = pareto_fronts(work)
-
-    t0 = time.perf_counter()
-    u_field = conv.u_field(spec, kind, f)
-    wall = time.perf_counter() - t0
-    ranks = pde_rank(work, u_field)
-    try:
-        agreement = rank_agreement(fronts, ranks)
-    except ValueError as exc:
-        agreement = None
-        print(f"warning: {exc}", file=sys.stderr)
+    phases: dict[str, float] = {}
+    with _timed(phases, "load_s"):
+        cloud = load_cloud_csv(args.input, args.n)
+        work = cloud if args.no_normalize else cloud.normalized()
+        check_in_unit_cube(work)  # fail before the costly solve, not after
+    with _timed(phases, "fronts_s"):
+        fronts = pareto_fronts(work)
+    with _timed(phases, "solve_s"):
+        u_field = conv.u_field(spec, kind, f)
+    with _timed(phases, "rank_s"):
+        ranks = pde_rank(work, u_field)
+    with _timed(phases, "agreement_s"):
+        try:
+            agreement = rank_agreement(fronts, ranks)
+        except ValueError as exc:
+            agreement = None
+            print(f"warning: {exc}", file=sys.stderr)
 
     out = _out_dir(args)
     stem = Path(args.input).stem
     ranked = out / f"{stem}_ranked.csv"
-    save_ranked_csv(ranked, cloud, fronts, ranks)
+    with _timed(phases, "save_s"):
+        save_ranked_csv(ranked, cloud, fronts, ranks)
     report = {
         "input": str(args.input),
         "points": len(cloud),
@@ -216,7 +235,8 @@ def cmd_pareto(args) -> int:
         "n": args.n,
         "m": args.m,
         "normalized": not args.no_normalize,
-        "wall_time_s": wall,
+        "wall_time_s": phases["solve_s"],
+        "phases": phases,
     }
     rp = out / f"{stem}_pareto.report.json"
     _write_report(rp, report)

@@ -80,9 +80,11 @@ def u_scale_error_fn(kind: SchemeKind, case: TestCase):
 
 
 def u_field(spec: GridSpec, kind, f, force_bisection: bool = False) -> GridField:
-    """Solve with full storage and return the field on the u scale."""
-    rep = solve(spec, kind, f, force_bisection=force_bisection)
-    return GridField(spec, to_u(kind, rep.field.values, spec.mesh(), spec.n))
+    """Solve with full storage and return the field on the u scale. The
+    solved array is transformed in place, so the peak is the field plus at
+    most one field-sized temporary (S3's coordinate product)."""
+    values = solve(spec, kind, f, force_bisection=force_bisection).field.values
+    return GridField(spec, to_u(kind, values, spec.mesh(), spec.n, in_place=True))
 
 
 def _solve_row(case: TestCase, kind: SchemeKind, m: int, force_bisection: bool,

@@ -6,14 +6,21 @@ the set of coordinatewise minimal points once fronts 1..k-1 are removed,
 equivalently 1 + the length of the longest domination chain ending at the
 point.
 
+Peeling sweeps the points in lexicographic order, so every dominator of a
+point comes before it, and binary-searches the fronts for the first one
+holding no dominator: O(N log N) for n=2 (one running minimum per front),
+O(N log^2 N) comparisons for n=3 (a 2-d staircase per front) and O(N^2)
+worst case for n >= 4 (a scan of every point of each probed front).
+
 pde_rank assigns each point the multilinearly interpolated value of a solved
 grid field; its level sets approximate the fronts, and rank_agreement
-measures how often the two orderings agree over point pairs.
+measures how often the two orderings agree over point pairs, by sorting and
+merge-counting in O(N log^2 N).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,14 +103,16 @@ def load_cloud_csv(path, n: int) -> PointCloud:
 
 def save_ranked_csv(path, cloud: PointCloud, fronts: np.ndarray,
                     ranks: np.ndarray | None) -> None:
-    """Input rows with the front index (and rank, if given) appended."""
+    """Input rows with the front index (and rank, if given) appended;
+    coordinates and ranks with 17 significant digits."""
+    cols = [*cloud.points.T.tolist(), np.asarray(fronts).tolist()]
+    fmt = ",".join(["%.17g"] * cloud.n + ["%d"])
+    if ranks is not None:
+        cols.append(np.asarray(ranks).tolist())
+        fmt += ",%.17g"
+    fmt += "\n"
     with open(path, "w") as fh:
-        for i in range(len(cloud)):
-            cells = [f"{v:.17g}" for v in cloud.points[i]]
-            cells.append(str(int(fronts[i])))
-            if ranks is not None:
-                cells.append(f"{ranks[i]:.17g}")
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(fmt % row for row in zip(*cols))
 
 
 # ---------------------------------------------------------------------------
@@ -184,14 +193,59 @@ def _fronts_2d(points: np.ndarray) -> np.ndarray:
     return fronts
 
 
+def _fronts_3d(points: np.ndarray) -> np.ndarray:
+    """n=3 sweep in lexicographic order. Every point seen so far has a first
+    coordinate no larger, so a point is dominated by a front iff the front's
+    2-d staircase of (y, z) minima has an entry <= (y, z). Each staircase is
+    two lists, y ascending and z strictly descending, so the check is one
+    bisection; a dominator in front k implies one in every earlier front, so
+    the front is found by binary search. Groups of exact duplicates are
+    assigned together (duplicates never dominate)."""
+    N = len(points)
+    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
+    P = points[order]
+    starts = np.flatnonzero(np.r_[True, np.any(P[1:] != P[:-1], axis=1)])
+    labels: list[int] = []
+    stairs_y: list[list[float]] = []
+    stairs_z: list[list[float]] = []
+    for y, z in zip(P[starts, 1].tolist(), P[starts, 2].tolist()):
+        lo, hi = 0, len(stairs_y)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            pos = bisect_right(stairs_y[mid], y)
+            if pos and stairs_z[mid][pos - 1] <= z:
+                lo = mid + 1
+            else:
+                hi = mid
+        labels.append(lo + 1)
+        if lo == len(stairs_y):
+            stairs_y.append([y])
+            stairs_z.append([z])
+            continue
+        ys, zs = stairs_y[lo], stairs_z[lo]
+        # entries with y' >= y start at `first`; those with z' >= z are a
+        # contiguous run there, now dominated by (y, z)
+        first = bisect_left(ys, y)
+        last = first
+        while last < len(ys) and zs[last] >= z:
+            last += 1
+        ys[first:last] = [y]
+        zs[first:last] = [z]
+    fronts = np.empty(N, dtype=np.int64)
+    fronts[order] = np.repeat(labels, np.diff(np.r_[starts, N]))
+    return fronts
+
+
 def pareto_fronts(cloud: PointCloud) -> np.ndarray:
     """1-based front index per point (empty cloud allowed -> empty labels),
-    by the 2-d sweep for n=2 and generic peeling otherwise."""
+    by the sweep of its dimension for n=2 and n=3 and generic peeling for
+    n >= 4."""
     pts = np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud,
                      dtype=np.float64)
     if pts.size == 0:
         return np.empty(0, dtype=np.int64)
-    return _fronts_2d(pts) if pts.shape[1] == 2 else _fronts_generic(pts)
+    sweep = {2: _fronts_2d, 3: _fronts_3d}.get(pts.shape[1], _fronts_generic)
+    return sweep(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +253,17 @@ def pareto_fronts(cloud: PointCloud) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _SNAP = 1e-9  # grid units; points this close to a node interpolate exactly
+
+
+def check_in_unit_cube(cloud: PointCloud) -> None:
+    """Raise PointsOutsideDomainError, with their indices, if any points lie
+    outside [0,1]^n (beyond a 1e-12 tolerance)."""
+    pts = cloud.points
+    bad = np.nonzero(np.any((pts < -1e-12) | (pts > 1.0 + 1e-12), axis=1))[0]
+    if bad.size:
+        raise PointsOutsideDomainError(
+            f"{bad.size} point(s) outside [0,1]^n (first indices "
+            f"{bad[:10].tolist()})", indices=bad)
 
 
 def pde_rank(cloud: PointCloud, u_field: GridField) -> np.ndarray:
@@ -211,11 +276,7 @@ def pde_rank(cloud: PointCloud, u_field: GridField) -> np.ndarray:
     spec = u_field.spec
     if pts.shape[1] != spec.n:
         raise ValueError(f"cloud dimension {pts.shape[1]} != grid dimension {spec.n}")
-    bad = np.nonzero(np.any((pts < -1e-12) | (pts > 1.0 + 1e-12), axis=1))[0]
-    if bad.size:
-        raise PointsOutsideDomainError(
-            f"{bad.size} point(s) outside [0,1]^n (first indices "
-            f"{bad[:10].tolist()})", indices=bad)
+    check_in_unit_cube(cloud)
 
     m = spec.m
     g = np.clip(pts, 0.0, 1.0) * m
@@ -241,11 +302,35 @@ def pde_rank(cloud: PointCloud, u_field: GridField) -> np.ndarray:
     return vals
 
 
+def _ascending_pairs(r: np.ndarray) -> int:
+    """Number of pairs i < j with r[i] < r[j], for integers 0 <= r < len(r).
+
+    Bottom-up merge count: at width w, each right half of a 2w-block counts
+    the smaller values of its left half by one search in the sorted left
+    halves, whose keys are offset by block so that blocks never mix."""
+    N = len(r)
+    pos = np.arange(N)
+    count = 0
+    w = 1
+    while w < N:
+        block = pos // (2 * w)
+        right = (pos // w) % 2 == 1
+        left_keys = np.sort(block[~right] * N + r[~right])
+        base = block[right] * N
+        count += int(np.sum(np.searchsorted(left_keys, base + r[right])
+                            - np.searchsorted(left_keys, base)))
+        w *= 2
+    return count
+
+
 def rank_agreement(fronts: np.ndarray, ranks: np.ndarray) -> float:
     """Fraction of point pairs with distinct front indices whose rank order
-    matches their front order (strictly; rank ties count as disagreement).
+    matches their front order (strictly; rank ties and NaN ranks count as
+    disagreement).
 
-    Pairs are counted in row blocks, each boolean block about 4 MiB."""
+    Sorted by front ascending and rank descending, a pair i < j agrees iff
+    rank i < rank j: pairs within one front are never counted, and across
+    fronts the earlier front must have the strictly smaller rank."""
     fronts = np.asarray(fronts)
     ranks = np.asarray(ranks, dtype=np.float64)
     if fronts.shape != ranks.shape or fronts.ndim != 1:
@@ -253,18 +338,12 @@ def rank_agreement(fronts: np.ndarray, ranks: np.ndarray) -> float:
     N = len(fronts)
     if N < 2:
         raise ValueError("rank agreement undefined for fewer than 2 points")
-    block = max(1, (4 << 20) // N)
-    match = 0
-    total = 0
-    for start in range(0, N, block):
-        fl = fronts[start:start + block, None]
-        rl = ranks[start:start + block, None]
-        f_lt = fl < fronts[None, :]
-        f_gt = fl > fronts[None, :]
-        r_lt = rl < ranks[None, :]
-        r_gt = rl > ranks[None, :]
-        total += int(np.count_nonzero(f_lt | f_gt))
-        match += int(np.count_nonzero((f_lt & r_lt) | (f_gt & r_gt)))
+    sizes = np.unique(fronts, return_counts=True)[1].tolist()
+    total = N * (N - 1) // 2 - sum(c * (c - 1) // 2 for c in sizes)
     if total == 0:
         raise ValueError("all points share one front; agreement undefined")
-    return match / total
+    ranked = ~np.isnan(ranks)
+    fronts, ranks = fronts[ranked], ranks[ranked]
+    dense = np.unique(ranks, return_inverse=True)[1]
+    order = np.lexsort((-dense, fronts))
+    return _ascending_pairs(dense[order]) / total

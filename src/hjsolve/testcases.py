@@ -180,12 +180,15 @@ def parse_case(spec_str: str, n: int, *, k: float = DEFAULT_K,
 _NEG_TOL = 1e-12
 
 
-def u_from_v_values(v: np.ndarray, n: int) -> np.ndarray:
-    """Pointwise u = n v^(1/n); tiny negative noise (>-1e-12) clamps to 0."""
+def u_from_v_values(v: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise u = n v^(1/n); tiny negative noise (>-1e-12) clamps to 0.
+    Written into `out` (which may be v itself) if given, else a new array."""
     v = np.asarray(v, dtype=np.float64)
     if v.min() < -_NEG_TOL:
         raise ValueError(f"negative value {v.min()} in v field")
-    return n * np.power(np.maximum(v, 0.0), 1.0 / n)
+    u = np.maximum(v, 0.0, out=np.empty_like(v) if out is None else out)
+    np.power(u, 1.0 / n, out=u)
+    return np.multiply(n, u, out=u)
 
 
 def v_from_u_values(u: np.ndarray, n: int) -> np.ndarray:
@@ -195,9 +198,15 @@ def v_from_u_values(u: np.ndarray, n: int) -> np.ndarray:
     return np.power(np.maximum(u, 0.0) / n, float(n))
 
 
-def u_from_w_values(w: np.ndarray, xs, n: int) -> np.ndarray:
-    """Pointwise u = n (x_1...x_n)^(1/n) w; exactly 0 on the boundary."""
-    return n * np.power(_coord_product(xs), 1.0 / n) * np.asarray(w, dtype=np.float64)
+def u_from_w_values(w: np.ndarray, xs, n: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise u = n (x_1...x_n)^(1/n) w; exactly 0 on the boundary.
+    Written into `out` (which may be w itself) if given, else a new array;
+    the coordinate product is the one temporary."""
+    scale = np.asarray(_coord_product(xs))  # a new array: n >= 2 factors
+    np.power(scale, 1.0 / n, out=scale)
+    np.multiply(n, scale, out=scale)
+    return np.multiply(scale, np.asarray(w, dtype=np.float64), out=out)
 
 
 def w_from_u_values(u: np.ndarray, xs, n: int) -> np.ndarray:
@@ -209,14 +218,16 @@ def w_from_u_values(u: np.ndarray, xs, n: int) -> np.ndarray:
         return np.where(prod > 0.0, u / np.where(prod > 0.0, prod, 1.0) / n, 0.0)
 
 
-def to_u(kind, values: np.ndarray, xs, n: int) -> np.ndarray:
+def to_u(kind, values: np.ndarray, xs, n: int, in_place: bool = False) -> np.ndarray:
     """u-scale values of a solved field at the nodes xs: S1 values are u
-    already, S2 solves for v and S3 for w."""
+    already, S2 solves for v and S3 for w. With in_place the float64 array
+    `values` is overwritten and returned."""
     kind = SchemeKind.parse(kind)
+    out = values if in_place else None
     if kind is SchemeKind.S2:
-        return u_from_v_values(values, n)
+        return u_from_v_values(values, n, out=out)
     if kind is SchemeKind.S3:
-        return u_from_w_values(values, xs, n)
+        return u_from_w_values(values, xs, n, out=out)
     return values
 
 

@@ -198,3 +198,25 @@ def peel_bruteforce(points: np.ndarray) -> np.ndarray:
         labels[front] = k
         remaining[front] = False
     return labels
+
+
+def agreement_pairs(fronts: np.ndarray, ranks: np.ndarray) -> float:
+    """Literal agreement oracle: every pair compared at once, in row blocks
+    of about 4 MiB of booleans. A pair counts when its fronts differ, and
+    agrees when its ranks are ordered the same way, strictly."""
+    fronts = np.asarray(fronts)
+    ranks = np.asarray(ranks, dtype=np.float64)
+    N = len(fronts)
+    block = max(1, (4 << 20) // N)
+    match = 0
+    total = 0
+    for start in range(0, N, block):
+        fl = fronts[start:start + block, None]
+        rl = ranks[start:start + block, None]
+        f_lt = fl < fronts[None, :]
+        f_gt = fl > fronts[None, :]
+        r_lt = rl < ranks[None, :]
+        r_gt = rl > ranks[None, :]
+        total += int(np.count_nonzero(f_lt | f_gt))
+        match += int(np.count_nonzero((f_lt & r_lt) | (f_gt & r_gt)))
+    return match / total

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from hjsolve.grid import GridSpec
-from hjsolve.pareto import (PointCloud, _fronts_2d, _fronts_generic, pareto_fronts,
-                            pde_rank, rank_agreement)
+from hjsolve.pareto import (PointCloud, _fronts_2d, _fronts_3d, _fronts_generic,
+                            pareto_fronts, pde_rank, rank_agreement)
 from hjsolve.schemes import solve
 from hjsolve.testcases import make_case, u_from_v
 
@@ -215,7 +215,7 @@ def test_criterion_6_property_suites(cache):
 
 def test_criterion_7_pareto_oracle():
     with criterion(7, "peeling equals brute force on 100 clouds; 2-d fast "
-                      "path equals generic at N=10^5"):
+                      "path equals generic at N=10^5, 3-d at N=10^4"):
         rng = np.random.default_rng(777)
         for trial in range(100):
             n = int(rng.integers(2, 5))
@@ -227,8 +227,12 @@ def test_criterion_7_pareto_oracle():
             assert np.array_equal(_fronts_generic(pts), expected)
             if n == 2:
                 assert np.array_equal(_fronts_2d(pts), expected)
+            if n == 3:
+                assert np.array_equal(_fronts_3d(pts), expected)
         big = np.random.default_rng(778).random((100_000, 2))
         assert np.array_equal(_fronts_2d(big), _fronts_generic(big))
+        big3 = np.random.default_rng(779).random((10_000, 3))
+        assert np.array_equal(_fronts_3d(big3), _fronts_generic(big3))
 
 
 def test_criterion_8_sqrt_h_consistency(cache):

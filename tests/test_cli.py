@@ -181,6 +181,52 @@ def test_pareto_guard_does_not_suggest_rolling(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
 
 
+def test_pareto_guard_charges_the_u_transform(tmp_path, capsys):
+    # n=2, m=8: a 648-byte field; pareto holds it and its u-scale temporary,
+    # so a 1000-byte cap refuses pareto but still lets solve run
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0.1,0.2\n0.5,0.4\n")
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
+                 "--case", "const:1", "--mem-cap", "1000", "--out", str(tmp_path))
+    assert rc == 2
+    assert "needs 1296 bytes" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+    rc = run_cli("solve", "--scheme", "s2", "--case", "const:1", "--n", "2",
+                 "--m", "8", "--mem-cap", "1000", "--out", str(tmp_path / "s"))
+    assert rc == 0
+
+
+def test_pareto_outside_points_rejected_before_solve(tmp_path, capsys, monkeypatch):
+    from hjsolve import convergence
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called for an out-of-domain cloud")
+
+    monkeypatch.setattr(convergence, "solve", no_solve)
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0.1,0.2\n2.0,0.5\n")
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "512",
+                 "--case", "f2", "--no-normalize", "--out", str(tmp_path))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: 1 point(s) outside [0,1]^n (first indices [1])\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
+
+
+def test_pareto_report_phases(tmp_path, capsys):
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("1,2\n2,1\n3,3\n")
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "32",
+                 "--case", "const:1", "--out", str(tmp_path))
+    assert rc == 0
+    report = json.loads((tmp_path / "cloud_pareto.report.json").read_text())
+    phases = report["phases"]
+    assert sorted(phases) == ["agreement_s", "fronts_s", "load_s", "rank_s",
+                              "save_s", "solve_s"]
+    assert all(v >= 0.0 for v in phases.values())
+    assert report["wall_time_s"] == phases["solve_s"]
+
+
 def test_pareto_toy_cloud(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("1,2\n2,1\n3,3\n")

@@ -4,6 +4,7 @@ and determinism."""
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from hjsolve.convergence import (ConvergenceRow, StudySpec, default_mesh_sequenc
                                  render_json, render_markdown, run_study)
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import SchemeKind
-from hjsolve.testcases import make_case
+from hjsolve.testcases import make_case, to_u
 
 
 def test_linf_zero_for_exact_samples():
@@ -131,6 +132,26 @@ def test_u_field_on_the_u_scale():
         rep = convergence.solve(spec, kind, case.f, storage="rolling",
                                 error_fn=convergence.u_scale_error_fn(kind, case))
         assert err == pytest.approx(rep.linf_error, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n,m", [(2, 400), (3, 60)])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+def test_u_field_memory_within_two_fields(kind, n, m):
+    # the solved array is transformed in place, with at most one field-sized
+    # temporary, into bitwise the values of the out-of-place transform; the
+    # CLI guard charges these callers 2x field bytes
+    spec = GridSpec(n, m)
+    case = make_case("f2", n)
+    tracemalloc.start()
+    try:
+        field = convergence.u_field(spec, kind, case.f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * spec.num_nodes * 8
+    solved = convergence.solve(spec, kind, case.f).field.values
+    expected = to_u(kind, solved, spec.mesh(), n)
+    assert np.array_equal(field.values, expected)
 
 
 def test_run_study_deterministic_and_parallel_identical():

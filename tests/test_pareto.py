@@ -6,13 +6,13 @@ import pytest
 
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.pareto import (CloudFormatError, PointCloud, PointsOutsideDomainError,
-                            _fronts_2d, _fronts_generic, load_cloud_csv,
-                            pareto_fronts, pde_rank, rank_agreement,
-                            save_ranked_csv)
+                            _fronts_2d, _fronts_3d, _fronts_generic,
+                            check_in_unit_cube, load_cloud_csv, pareto_fronts,
+                            pde_rank, rank_agreement, save_ranked_csv)
 from hjsolve.schemes import solve
 from hjsolve.testcases import u_from_v
 
-from props import peel_bruteforce
+from props import agreement_pairs, peel_bruteforce
 
 
 def test_toy_cloud():
@@ -57,6 +57,42 @@ def test_fronts_match_bruteforce(n):
         assert np.array_equal(pareto_fronts(PointCloud(pts)), expected)
         if n == 2:
             assert np.array_equal(_fronts_2d(pts), expected)
+        if n == 3:
+            assert np.array_equal(_fronts_3d(pts), expected)
+
+
+def _clouds_3d(rng):
+    for trial in range(40):
+        N = int(rng.integers(2, 300))
+        pts = rng.random((N, 3))
+        if trial % 2 == 0:
+            pts = np.round(pts, 1)  # ties and duplicates
+        yield pts
+    yield np.full((25, 3), 0.3)  # all identical: one front
+    yield np.array([[0.2, 0.7, 0.1]])  # N=1
+    t = np.linspace(0.0, 1.0, 60)
+    yield np.column_stack([t, t ** 2, np.sqrt(t)])[::-1].copy()  # chain: N fronts
+    # one coordinate tied at a time: domination decided by the others
+    yield np.array([[0.5, 0.1, 0.9], [0.5, 0.1, 0.8], [0.5, 0.2, 0.8],
+                    [0.4, 0.2, 0.8], [0.4, 0.2, 0.8], [0.5, 0.2, 0.7]])
+
+
+def test_fronts_3d_matches_bruteforce_and_generic():
+    rng = np.random.default_rng(303)
+    for pts in _clouds_3d(rng):
+        expected = peel_bruteforce(pts)
+        assert np.array_equal(_fronts_3d(pts), expected)
+        assert np.array_equal(_fronts_generic(pts), expected)
+    chain = np.column_stack([np.linspace(1.0, 0.0, 60)] * 3)
+    assert _fronts_3d(chain).tolist() == list(range(60, 0, -1))
+
+
+def test_fast3d_matches_generic_medium():
+    rng = np.random.default_rng(19)
+    pts = rng.random((4000, 3))
+    assert np.array_equal(_fronts_3d(pts), _fronts_generic(pts))
+    ints = rng.integers(0, 6, size=(4000, 3)).astype(float)  # heavy ties
+    assert np.array_equal(_fronts_3d(ints), _fronts_generic(ints))
 
 
 def test_fast2d_matches_generic_medium():
@@ -128,6 +164,10 @@ def test_rank_rejects_outside_points(unit_field):
     with pytest.raises(PointsOutsideDomainError) as err:
         pde_rank(pts, unit_field)
     assert sorted(err.value.indices.tolist()) == [1, 2]
+    with pytest.raises(PointsOutsideDomainError) as err:
+        check_in_unit_cube(pts)
+    assert sorted(err.value.indices.tolist()) == [1, 2]
+    check_in_unit_cube(PointCloud(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.5]])))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +203,27 @@ def test_agreement_equals_pair_count_across_row_blocks():
         match += int(np.count_nonzero((df != 0) & (df == dr)))
     assert 0 < match < total
     assert rank_agreement(fronts, ranks) == match / total
+
+
+def test_agreement_equals_pair_oracle():
+    # cross-front and same-front rank ties, a NaN rank, a chain of singleton
+    # fronts and ranks that undo it: the counts must be the same integers
+    rng = np.random.default_rng(12)
+    for trial in range(30):
+        N = int(rng.integers(2, 700))
+        fronts = rng.integers(1, int(rng.integers(2, 40)), size=N)
+        ranks = rng.random(N) + 0.1 * fronts
+        if trial % 3 == 0:
+            ranks = np.round(ranks, 1)
+        if trial % 5 == 0:
+            ranks[rng.integers(0, N)] = np.nan
+        if len(np.unique(fronts)) < 2:
+            continue
+        assert rank_agreement(fronts, ranks) == agreement_pairs(fronts, ranks)
+    chain = np.arange(1, 501)
+    ranks = np.round(rng.random(500) + chain / 100.0, 2)
+    assert rank_agreement(chain, ranks) == agreement_pairs(chain, ranks)
+    assert rank_agreement(chain, chain[::-1].astype(float)) == 0.0
 
 
 def test_agreement_needs_two_points_and_two_fronts():
@@ -216,3 +277,30 @@ def test_ranked_csv_output(tmp_path):
     assert len(rows) == 2
     assert rows[0][2] == "1"
     assert float(rows[1][3]) == 0.58
+
+
+def _ranked_csv_per_cell(path, cloud, fronts, ranks):
+    # the writer this module used before, one f-string per cell
+    with open(path, "w") as fh:
+        for i in range(len(cloud)):
+            cells = [f"{v:.17g}" for v in cloud.points[i]]
+            cells.append(str(int(fronts[i])))
+            if ranks is not None:
+                cells.append(f"{ranks[i]:.17g}")
+            fh.write(",".join(cells) + "\n")
+
+
+def test_ranked_csv_bytes_match_per_cell_writer(tmp_path):
+    rng = np.random.default_rng(4)
+    pts = rng.random((200, 3)) * 10.0 ** rng.integers(-5, 5, size=(200, 3))
+    pts[:6] = [[-0.0, 1e-300, 3.0], [0.0, -1e-300, -7.0], [1e300, 2.0, 0.1],
+               [5e-324, 1.0, 0.5], [1 / 3, 2 / 3, 123456789.0], [-2.5, 0.0, 1.0]]
+    cloud = PointCloud(pts)
+    fronts = rng.integers(1, 1000, size=200)
+    ranks = rng.random(200)
+    ranks[:4] = [-0.0, 1e-300, 4.0, 1e17]
+    for r in (ranks, None):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        save_ranked_csv(fast, cloud, fronts, r)
+        _ranked_csv_per_cell(slow, cloud, fronts, r)
+        assert fast.read_bytes() == slow.read_bytes()
