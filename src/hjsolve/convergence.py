@@ -60,12 +60,6 @@ class ConvergenceRow:
     order: float | None
 
 
-def linf_error(numeric_u: GridField, exact_u) -> float:
-    """Max over all grid nodes (boundary included) of |numeric - exact(x)|."""
-    xs = numeric_u.spec.mesh()
-    return float(np.max(np.abs(numeric_u.values - exact_u(xs))))
-
-
 def observed_order(e_prev: float, e_cur: float, h_prev: float, h_cur: float) -> float:
     """log(e_prev/e_cur) / log(h_prev/h_cur)."""
     if min(e_prev, e_cur, h_prev, h_cur) <= 0.0:

@@ -11,10 +11,8 @@ m = 40, 160, 640, ... are exact.
 
 from __future__ import annotations
 
-import itertools
 import struct
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -59,31 +57,6 @@ class GridSpec:
         return tuple(np.meshgrid(*([self.axis_coords()] * self.n),
                                  indexing="ij", sparse=True))
 
-    def coords(self, multi_index: Sequence[int]) -> tuple[float, ...]:
-        return tuple(i / self.m for i in multi_index)
-
-    def linear_index(self, multi_index: Sequence[int]) -> int:
-        idx = 0
-        for i in multi_index:
-            idx = idx * (self.m + 1) + i
-        return idx
-
-    def multi_index(self, linear: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.n):
-            linear, i = divmod(linear, self.m + 1)
-            out.append(i)
-        return tuple(reversed(out))
-
-
-def sweep_order(spec: GridSpec) -> Iterator[tuple[int, ...]]:
-    """All multi-indices in lexicographic order (last axis fastest).
-
-    Every node appears strictly after all of its backward neighbors, which is
-    what makes the single-pass solve well defined.
-    """
-    return itertools.product(range(spec.m + 1), repeat=spec.n)
-
 
 class GridField:
     """Double-precision values on every node of a GridSpec."""
@@ -97,16 +70,9 @@ class GridField:
         self.spec = spec
         self.values = values
 
-    @classmethod
-    def zeros(cls, spec: GridSpec) -> "GridField":
-        return cls(spec, np.zeros(spec.shape))
-
     @property
     def flat(self) -> np.ndarray:
         return self.values.reshape(-1)
-
-    def __getitem__(self, multi_index):
-        return self.values[tuple(multi_index)]
 
     def save_binary(self, path) -> None:
         """Header (n, m as little-endian int64) then node values in
@@ -131,28 +97,12 @@ class GridField:
         return cls(spec, data.astype(np.float64))
 
     def save_csv(self, path) -> None:
-        """One row per node: coordinates then value, 17 significant digits."""
-        xs = self.spec.axis_coords()
+        """One row per node in lexicographic order: coordinates then value,
+        17 significant digits. Written one last-axis row at a time, so the
+        only temporaries are row-sized."""
+        xs = self.spec.axis_coords().tolist()
         with open(path, "w") as fh:
-            for mi, v in zip(sweep_order(self.spec), self.flat):
-                row = [f"{xs[i]:.17g}" for i in mi]
-                row.append(f"{v:.17g}")
-                fh.write(",".join(row) + "\n")
-
-    @classmethod
-    def load_csv(cls, path, spec: GridSpec) -> "GridField":
-        vals = np.empty(spec.num_nodes)
-        with open(path) as fh:
-            count = 0
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if count >= spec.num_nodes:
-                    raise ValueError(f"{path}: more rows than grid nodes")
-                vals[count] = float(line.split(",")[-1])
-                count += 1
-        if count != spec.num_nodes:
-            raise ValueError(f"{path}: expected {spec.num_nodes} rows, got {count}")
-        return cls(spec, vals)
-
+            for head in np.ndindex(self.spec.shape[:-1]):
+                fmt = "".join("%.17g," % xs[i] for i in head) + "%.17g,%.17g\n"
+                fh.writelines(fmt % row
+                              for row in zip(xs, self.values[head].tolist()))

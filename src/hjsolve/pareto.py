@@ -20,6 +20,7 @@ merge-counting in O(N log^2 N).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -79,7 +80,7 @@ class PointCloud:
 
 
 def load_cloud_csv(path, n: int) -> PointCloud:
-    """One point per row, n comma-separated coordinates, no header."""
+    """One point per row, n comma-separated finite coordinates, no header."""
     rows = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -92,10 +93,14 @@ def load_cloud_csv(path, n: int) -> PointCloud:
                     f"{path}: line {lineno}: expected {n} columns, got {len(parts)}",
                     line=lineno)
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise CloudFormatError(
                     f"{path}: line {lineno}: non-numeric value", line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise CloudFormatError(
+                    f"{path}: line {lineno}: non-finite value", line=lineno)
+            rows.append(row)
     if not rows:
         raise CloudFormatError(f"{path}: empty point cloud", line=None)
     return PointCloud(np.asarray(rows, dtype=np.float64))

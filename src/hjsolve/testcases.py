@@ -1,5 +1,5 @@
-"""Benchmark right-hand sides with known exact solutions, and the scale
-transformations between the three solution variables.
+"""Benchmark right-hand sides with known exact solutions, and the map from
+each scheme's solution variable to the u scale.
 
 Every evaluator takes a tuple of n broadcastable coordinate arrays (sparse
 meshgrids, flat point components, or plain floats) and returns an array of
@@ -133,24 +133,25 @@ class TestCase:
 
 def make_case(name: str, n: int, *, k: float = DEFAULT_K, C: float = DEFAULT_C,
               c: float = 1.0) -> TestCase:
-    """Builtin cases by name: f1 | f2 | f3 | const (constant value c >= 0)."""
+    """Builtin cases by name: f1 | f2 | f3 | const (constant value c >= 0).
+    Every parameter must be finite."""
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     if name == "f1":
         return TestCase("f1", n, lambda xs: f1(xs, n), lambda xs: u1(xs, n))
     if name == "f2":
-        if k <= 0.0:
-            raise ValueError(f"k must be positive, got {k}")
+        if not 0.0 < k < np.inf:
+            raise ValueError(f"k must be positive and finite, got {k}")
         return TestCase("f2", n, lambda xs: f2(xs, n, k), lambda xs: u2(xs, n, k),
                         {"k": k})
     if name == "f3":
-        if C < 0.0:
-            raise ValueError(f"C must be nonnegative, got {C}")
+        if not 0.0 <= C < np.inf:
+            raise ValueError(f"C must be nonnegative and finite, got {C}")
         return TestCase("f3", n, lambda xs: f3(xs, n, C), lambda xs: u3(xs, n, C),
                         {"C": C})
     if name == "const":
-        if c < 0.0:
-            raise ValueError(f"constant rhs must be nonnegative, got {c}")
+        if not 0.0 <= c < np.inf:
+            raise ValueError(f"constant rhs must be nonnegative and finite, got {c}")
         croot = float(np.power(c, 1.0 / n))
         return TestCase(
             "const", n,
@@ -180,71 +181,31 @@ def parse_case(spec_str: str, n: int, *, k: float = DEFAULT_K,
 _NEG_TOL = 1e-12
 
 
-def u_from_v_values(v: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise u = n v^(1/n); tiny negative noise (>-1e-12) clamps to 0.
-    Written into `out` (which may be v itself) if given, else a new array."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.min() < -_NEG_TOL:
-        raise ValueError(f"negative value {v.min()} in v field")
-    u = np.maximum(v, 0.0, out=np.empty_like(v) if out is None else out)
-    np.power(u, 1.0 / n, out=u)
-    return np.multiply(n, u, out=u)
-
-
-def v_from_u_values(u: np.ndarray, n: int) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.min() < -_NEG_TOL:
-        raise ValueError(f"negative value {u.min()} in u field")
-    return np.power(np.maximum(u, 0.0) / n, float(n))
-
-
-def u_from_w_values(w: np.ndarray, xs, n: int,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """Pointwise u = n (x_1...x_n)^(1/n) w; exactly 0 on the boundary.
-    Written into `out` (which may be w itself) if given, else a new array;
-    the coordinate product is the one temporary."""
-    scale = np.asarray(_coord_product(xs))  # a new array: n >= 2 factors
-    np.power(scale, 1.0 / n, out=scale)
-    np.multiply(n, scale, out=scale)
-    return np.multiply(scale, np.asarray(w, dtype=np.float64), out=out)
-
-
-def w_from_u_values(u: np.ndarray, xs, n: int) -> np.ndarray:
-    """Inverse of u_from_w on the interior; boundary nodes are set to 0 by
-    convention (u vanishes there and w is not determined by u)."""
-    u = np.asarray(u, dtype=np.float64)
-    prod = np.power(_coord_product(xs), 1.0 / n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(prod > 0.0, u / np.where(prod > 0.0, prod, 1.0) / n, 0.0)
-
-
 def to_u(kind, values: np.ndarray, xs, n: int, in_place: bool = False) -> np.ndarray:
     """u-scale values of a solved field at the nodes xs: S1 values are u
-    already, S2 solves for v and S3 for w. With in_place the float64 array
-    `values` is overwritten and returned."""
+    already, S2 solves for v (u = n v^(1/n); tiny negative noise above
+    -1e-12 clamps to 0) and S3 for w (u = n (x_1...x_n)^(1/n) w, exactly 0
+    on the boundary). With in_place the float64 array `values` is
+    overwritten and returned, and S3's coordinate product is the one
+    temporary."""
     kind = SchemeKind.parse(kind)
     out = values if in_place else None
     if kind is SchemeKind.S2:
-        return u_from_v_values(values, n, out=out)
+        v = np.asarray(values, dtype=np.float64)
+        if v.min() < -_NEG_TOL:
+            raise ValueError(f"negative value {v.min()} in v field")
+        u = np.maximum(v, 0.0, out=np.empty_like(v) if out is None else out)
+        np.power(u, 1.0 / n, out=u)
+        return np.multiply(n, u, out=u)
     if kind is SchemeKind.S3:
-        return u_from_w_values(values, xs, n, out=out)
+        scale = np.asarray(_coord_product(xs))  # a new array: n >= 2 factors
+        np.power(scale, 1.0 / n, out=scale)
+        np.multiply(n, scale, out=scale)
+        return np.multiply(scale, np.asarray(values, dtype=np.float64), out=out)
     return values
 
 
 def u_from_v(v_field: GridField) -> GridField:
-    return GridField(v_field.spec, u_from_v_values(v_field.values, v_field.spec.n))
-
-
-def v_from_u(u_field: GridField) -> GridField:
-    return GridField(u_field.spec, v_from_u_values(u_field.values, u_field.spec.n))
-
-
-def u_from_w(w_field: GridField) -> GridField:
-    spec = w_field.spec
-    return GridField(spec, u_from_w_values(w_field.values, spec.mesh(), spec.n))
-
-
-def w_from_u(u_field: GridField) -> GridField:
-    spec = u_field.spec
-    return GridField(spec, w_from_u_values(u_field.values, spec.mesh(), spec.n))
-
+    # kept for benchmarks/workloads.py, which imports it
+    return GridField(v_field.spec,
+                     to_u(SchemeKind.S2, v_field.values, None, v_field.spec.n))

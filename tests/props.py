@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from hjsolve.grid import GridField, sweep_order
+from hjsolve.grid import GridField
 from hjsolve.schemes import (SchemeKind, UpdateInputs, _update, s1_update,
                              s2_update, s3_update)
 
@@ -103,11 +103,22 @@ def oracle_solve(spec, kind, f, force_bisection=False) -> np.ndarray:
     F = rhs_values(spec, f)
     method = "bisect" if force_bisection else "auto"
     W = np.zeros(spec.shape)
-    for mi in sweep_order(spec):
+    for mi in np.ndindex(spec.shape):
         if kind.has_boundary_condition and min(mi) == 0:
             continue
         W[mi] = node_update(spec, kind, W, F, mi, method)
     return W
+
+
+def field_csv_per_cell(path, field: GridField) -> None:
+    """Reference CSV writer for GridField.save_csv: one node per row in
+    lexicographic order, one f-string per cell."""
+    xs = field.spec.axis_coords()
+    with open(path, "w") as fh:
+        for mi in np.ndindex(field.spec.shape):
+            row = [f"{xs[i]:.17g}" for i in mi]
+            row.append(f"{field.values[mi]:.17g}")
+            fh.write(",".join(row) + "\n")
 
 
 def make_inp(n, h, f, a, x=None):

@@ -8,11 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from hjsolve.convergence import u_field
 from hjsolve.grid import GridSpec
 from hjsolve.pareto import (PointCloud, _fronts_2d, _fronts_3d, _fronts_generic,
                             pareto_fronts, pde_rank, rank_agreement)
 from hjsolve.schemes import solve
-from hjsolve.testcases import make_case, u_from_v
+from hjsolve.testcases import make_case
 
 from conftest import ACCEPTANCE_LINES
 from props import (check_closed_vs_bisection, check_lower_bound,
@@ -252,6 +253,6 @@ def test_pde_rank_agreement_regression_baseline():
     rng = np.random.default_rng(2023)
     pts = PointCloud(rng.random((10_000, 2)))
     fronts = pareto_fronts(pts)
-    field = u_from_v(solve(GridSpec(2, 640), "s2", 1.0).field)
+    field = u_field(GridSpec(2, 640), "s2", 1.0)
     ranks = pde_rank(pts, field)
     assert rank_agreement(fronts, ranks) >= 0.975

@@ -65,8 +65,8 @@ def test_solve_csv_17_digits(tmp_path):
     run_cli("solve", "--scheme", "s1", "--case", "f2", "--n", "2", "--m", "8",
             "--out", str(tmp_path), "--format", "both")
     field = GridField.load_binary(tmp_path / "solve_s1_f2_n2_m8.bin")
-    again = GridField.load_csv(tmp_path / "solve_s1_f2_n2_m8.csv", field.spec)
-    assert np.array_equal(field.values, again.values)
+    again = np.loadtxt(tmp_path / "solve_s1_f2_n2_m8.csv", delimiter=",")
+    assert np.array_equal(field.flat, again[:, -1])
 
 
 def test_solve_field_file_rhs(tmp_path):
@@ -115,6 +115,26 @@ def test_solve_config_errors(tmp_path, capsys):
                    "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "rolling" in err  # the refusal suggests the rolling mode
+
+
+@pytest.mark.parametrize("flags", [
+    ("--case", "const:nan"), ("--case", "const:inf"),
+    ("--case", "f2", "--k", "nan"), ("--case", "f2", "--k", "inf"),
+    ("--case", "f3", "--bigc", "inf"),
+], ids=["const-nan", "const-inf", "k-nan", "k-inf", "bigc-inf"])
+def test_solve_non_finite_case_parameter_is_config_error(tmp_path, capsys,
+                                                         monkeypatch, flags):
+    from hjsolve import cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve called with a non-finite case parameter")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    rc = run_cli("solve", "--scheme", "s2", "--n", "2", "--m", "8",
+                 "--out", str(tmp_path / "out"), *flags)
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_missing_field_file_is_runtime_error(tmp_path):
@@ -257,6 +277,17 @@ def test_pareto_malformed_line_number(tmp_path, capsys):
                  "--case", "const:1", "--out", str(tmp_path))
     assert rc == 1
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_pareto_non_finite_coordinate_line_number(tmp_path, capsys, value):
+    cloud = tmp_path / "bad.csv"
+    cloud.write_text(f"0.1,0.2\n\n{value},0.3\n")
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
+                 "--case", "const:1", "--out", str(tmp_path))
+    assert rc == 1
+    assert "line 3: non-finite value" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
 
 def test_env_overrides(tmp_path, monkeypatch):

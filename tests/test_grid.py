@@ -1,15 +1,17 @@
 """Grid indexing, sweep order, the solver's front index, rolling storage,
-and file formats."""
+and file formats. The sweep order is C order, `np.ndindex(spec.shape)`, the
+order of the field files and of the scalar reference solve."""
 
-import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hjsolve.grid import GridField, GridSpec, sweep_order
+from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import _Fronts, solve
 from hjsolve.testcases import make_case
+
+from props import field_csv_per_cell
 
 
 def test_spec_validation():
@@ -32,12 +34,18 @@ def test_axis_coords_exact_endpoints():
             assert xs[m // 2] == 0.5
 
 
-def test_sweep_order_2x2():
-    assert list(sweep_order(GridSpec(2, 1))) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+def test_sweep_order_2x2(tmp_path):
+    order = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert list(np.ndindex(GridSpec(2, 1).shape)) == order
+    # the CSV writer emits its rows in the same order
+    path = tmp_path / "field.csv"
+    GridField(GridSpec(2, 1), np.arange(4.0).reshape(2, 2)).save_csv(path)
+    assert np.loadtxt(path, delimiter=",").tolist() == \
+        [[*mi, float(k)] for k, mi in enumerate(order)]
 
 
 def test_sweep_order_n2_m2_dominance():
-    order = list(sweep_order(GridSpec(2, 2)))
+    order = list(np.ndindex(GridSpec(2, 2).shape))
     assert len(order) == 9
     pos = {mi: i for i, mi in enumerate(order)}
     assert pos[(1, 1)] > pos[(0, 1)]
@@ -45,14 +53,14 @@ def test_sweep_order_n2_m2_dominance():
 
 
 def test_sweep_order_n3_corner_last():
-    order = list(sweep_order(GridSpec(3, 1)))
+    order = list(np.ndindex(GridSpec(3, 1).shape))
     assert len(order) == 8
     assert order[-1] == (1, 1, 1)
 
 
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 3), (4, 2)])
 def test_sweep_order_backward_neighbors_first(n, m):
-    pos = {mi: i for i, mi in enumerate(sweep_order(GridSpec(n, m)))}
+    pos = {mi: i for i, mi in enumerate(np.ndindex(GridSpec(n, m).shape))}
     for mi, p in pos.items():
         for ax in range(n):
             if mi[ax] >= 1:
@@ -63,13 +71,14 @@ def test_sweep_order_backward_neighbors_first(n, m):
 @pytest.mark.parametrize("n,m", [(2, 5), (3, 4), (4, 2)])
 def test_index_roundtrip_small(n, m):
     spec = GridSpec(n, m)
-    for lin, mi in enumerate(sweep_order(spec)):
-        assert spec.linear_index(mi) == lin
-        assert spec.multi_index(lin) == mi
+    for lin, mi in enumerate(np.ndindex(spec.shape)):
+        assert np.ravel_multi_index(mi, spec.shape) == lin
+        assert np.unravel_index(lin, spec.shape) == mi
         for ax in range(n):
             if mi[ax] >= 1:
                 nb = tuple(v - (1 if j == ax else 0) for j, v in enumerate(mi))
-                assert spec.linear_index(nb) == lin - (m + 1) ** (n - 1 - ax)
+                assert np.ravel_multi_index(nb, spec.shape) == \
+                    lin - (m + 1) ** (n - 1 - ax)
 
 
 def test_index_roundtrip_million_nodes():
@@ -80,11 +89,11 @@ def test_index_roundtrip_million_nodes():
     i1, i2 = lin // R, lin % R
     back = i1 * R + i2
     assert np.array_equal(back, lin)
-    # spot-check the python converters against the vectorized identity
+    # spot-check numpy's converters against the vectorized identity
     for probe in (0, 1, R, R + 1, spec.num_nodes - 1, 123457):
-        mi = spec.multi_index(probe)
+        mi = np.unravel_index(probe, spec.shape)
         assert mi == (int(i1[probe]), int(i2[probe]))
-        assert spec.linear_index(mi) == probe
+        assert np.ravel_multi_index(mi, spec.shape) == probe
 
 
 def test_front_index_partitions_by_digit_sum():
@@ -99,7 +108,8 @@ def test_front_index_partitions_by_digit_sum():
             for p in range(lo, hi):
                 mi = fronts.node(p, d)
                 assert sum(mi) == d and 0 <= mi[-1] <= m and mi not in seen
-                assert spec.linear_index(mi) == fronts.row[p] * (m + 1) + mi[-1]
+                assert np.ravel_multi_index(mi, spec.shape) == \
+                    fronts.row[p] * (m + 1) + mi[-1]
                 seen.add(mi)
                 # backward neighbors along head axes sit on front d-1
                 for j in range(n - 1):
@@ -177,7 +187,7 @@ def test_binary_roundtrip(tmp_path):
 
 def test_binary_rejects_truncation(tmp_path):
     spec = GridSpec(2, 3)
-    field = GridField.zeros(spec)
+    field = GridField(spec, np.zeros(spec.shape))
     path = tmp_path / "field.bin"
     field.save_binary(path)
     path.write_bytes(path.read_bytes()[:-8])
@@ -191,7 +201,20 @@ def test_csv_roundtrip_lossless(tmp_path):
     field = GridField(spec, rng.random(spec.shape) * 1e-3)
     path = tmp_path / "field.csv"
     field.save_csv(path)
-    back = GridField.load_csv(path, spec)
-    assert np.array_equal(back.values, field.values)
-    first = path.read_text().splitlines()[0].split(",")
-    assert len(first) == 3  # x1, x2, value
+    back = np.loadtxt(path, delimiter=",")
+    assert back.shape == (spec.num_nodes, 3)  # x1, x2, value
+    assert np.array_equal(back[:, -1].reshape(spec.shape), field.values)
+
+
+@pytest.mark.parametrize("n,m", [(2, 23), (3, 7), (4, 4)])
+def test_csv_bytes_match_per_cell_writer(tmp_path, n, m):
+    spec = GridSpec(n, m)
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal(spec.shape) * 10.0 ** rng.integers(
+        -300, 300, size=spec.shape)
+    values.reshape(-1)[:7] = [-0.0, 5e-324, 1e300, 3.0, -7.0, 0.0, 1 / 3]
+    field = GridField(spec, values)
+    fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+    field.save_csv(fast)
+    field_csv_per_cell(slow, field)
+    assert fast.read_bytes() == slow.read_bytes()

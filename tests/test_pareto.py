@@ -4,13 +4,12 @@ ranking, and the agreement metric."""
 import numpy as np
 import pytest
 
-from hjsolve.grid import GridField, GridSpec
+from hjsolve.convergence import u_field
+from hjsolve.grid import GridSpec
 from hjsolve.pareto import (CloudFormatError, PointCloud, PointsOutsideDomainError,
                             _fronts_2d, _fronts_3d, _fronts_generic,
                             check_in_unit_cube, load_cloud_csv, pareto_fronts,
                             pde_rank, rank_agreement, save_ranked_csv)
-from hjsolve.schemes import solve
-from hjsolve.testcases import u_from_v
 
 from props import agreement_pairs, peel_bruteforce
 
@@ -127,9 +126,7 @@ def test_normalization_constant_axis():
 @pytest.fixture(scope="module")
 def unit_field():
     # solved S2 field for f == 1 on n=2, transformed to the u scale
-    spec = GridSpec(2, 64)
-    rep = solve(spec, "s2", 1.0)
-    return u_from_v(rep.field)
+    return u_field(GridSpec(2, 64), "s2", 1.0)
 
 
 def test_rank_at_grid_nodes_is_exact(unit_field):

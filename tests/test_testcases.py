@@ -9,8 +9,7 @@ import pytest
 
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import SchemeKind
-from hjsolve.testcases import (f3, make_case, parse_case, to_u, u_from_v,
-                               u_from_w, v_from_u, w3, w_from_u)
+from hjsolve.testcases import f3, make_case, parse_case, to_u, u_from_v, w3
 
 
 def test_f1_indicator_values():
@@ -153,49 +152,62 @@ def test_u_from_v_unit_pair():
     v = GridField(spec, np.broadcast_to(xs[0] * xs[1], spec.shape).copy())
     u = u_from_v(v)
     assert np.allclose(u.values, 2.0 * np.sqrt(xs[0] * xs[1]), atol=1e-15)
+    assert np.array_equal(u.values, to_u("s2", v.values, xs, 2))
 
 
 def test_u_from_w_unit_pair():
     spec = GridSpec(2, 10)
     xs = spec.mesh()
-    w = GridField(spec, np.ones(spec.shape))
-    u = u_from_w(w)
-    assert np.allclose(u.values, 2.0 * np.sqrt(xs[0] * xs[1]), atol=1e-15)
+    u = to_u("s3", np.ones(spec.shape), xs, 2)
+    assert np.allclose(u, 2.0 * np.sqrt(xs[0] * xs[1]), atol=1e-15)
     for ax in range(2):
         sl = [slice(None)] * 2
         sl[ax] = 0
-        assert np.all(u.values[tuple(sl)] == 0.0)
+        assert np.all(u[tuple(sl)] == 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_v_u_roundtrip(n):
     spec = GridSpec(n, 5)
     rng = np.random.default_rng(77)
-    v = GridField(spec, rng.uniform(0.0, 3.0, size=spec.shape))
-    back = v_from_u(u_from_v(v))
-    assert np.max(np.abs(back.values - v.values)) <= 1e-12
+    v = rng.uniform(0.0, 3.0, size=spec.shape)
+    u = to_u("s2", v, spec.mesh(), n)
+    back = (u / n) ** n
+    assert np.max(np.abs(back - v)) <= 1e-12
 
 
 def test_w_u_roundtrip_interior():
     spec = GridSpec(2, 8)
+    xs = spec.mesh()
     rng = np.random.default_rng(78)
-    w = GridField(spec, rng.uniform(0.5, 2.0, size=spec.shape))
-    back = w_from_u(u_from_w(w))
-    assert np.max(np.abs(back.values[1:, 1:] - w.values[1:, 1:])) <= 1e-12
-    assert np.all(back.values[0, :] == 0.0)  # boundary convention
+    w = rng.uniform(0.5, 2.0, size=spec.shape)
+    u = to_u("s3", w, xs, 2)
+    back = u[1:, 1:] / (2 * np.sqrt(xs[0][1:] * xs[1][:, 1:]))
+    assert np.max(np.abs(back - w[1:, 1:])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_to_u_dispatches_by_scheme(n):
     spec = GridSpec(n, 6)
-    vals = GridField(spec, np.random.default_rng(79).uniform(0.0, 2.0, spec.shape))
+    vals = np.random.default_rng(79).uniform(0.0, 2.0, spec.shape)
     xs = spec.mesh()
-    assert to_u(SchemeKind.S1, vals.values, xs, n) is vals.values
-    assert np.array_equal(to_u(SchemeKind.S2, vals.values, xs, n),
-                          u_from_v(vals).values)
-    assert np.array_equal(to_u(SchemeKind.S3, vals.values, xs, n),
-                          u_from_w(vals).values)
-    assert np.array_equal(to_u("s2", vals.values, xs, n), u_from_v(vals).values)
+    scale = xs[0]
+    for x in xs[1:]:
+        scale = scale * x
+    expected = {
+        SchemeKind.S1: vals,
+        SchemeKind.S2: n * np.power(np.maximum(vals, 0.0), 1.0 / n),
+        SchemeKind.S3: (n * np.power(scale, 1.0 / n)) * vals,
+    }
+    assert to_u(SchemeKind.S1, vals, xs, n) is vals
+    for kind, want in expected.items():
+        assert np.array_equal(to_u(kind, vals, xs, n), want)
+        assert np.array_equal(to_u(kind.value, vals, xs, n), want)
+        work = vals.copy()
+        assert to_u(kind, work, xs, n, in_place=True) is work
+        assert np.array_equal(work, want)
+    assert np.array_equal(u_from_v(GridField(spec, vals)).values,
+                          expected[SchemeKind.S2])
 
 
 def test_u_from_v_rejects_genuinely_negative():
@@ -204,6 +216,19 @@ def test_u_from_v_rejects_genuinely_negative():
     vals[2, 2] = -1e-6
     with pytest.raises(ValueError):
         u_from_v(GridField(spec, vals))
+    with pytest.raises(ValueError):
+        to_u("s2", vals, spec.mesh(), 2, in_place=True)
+    assert vals[2, 2] == -1e-6  # refused before anything is overwritten
     vals[2, 2] = -1e-13  # tiny noise clamps to zero instead
     u = u_from_v(GridField(spec, vals))
     assert u.values[2, 2] == 0.0
+
+
+@pytest.mark.parametrize("name,params", [
+    ("const", {"c": math.nan}), ("const", {"c": math.inf}),
+    ("f2", {"k": math.nan}), ("f2", {"k": math.inf}),
+    ("f3", {"C": math.nan}), ("f3", {"C": math.inf}),
+])
+def test_make_case_rejects_non_finite_parameters(name, params):
+    with pytest.raises(ValueError, match="finite"):
+        make_case(name, 2, **params)
