@@ -52,16 +52,24 @@ def _out_dir(args) -> Path:
 
 
 def _guard_full_storage(spec: GridSpec, args) -> None:
-    """Refuse a full-grid field above the memory cap, before any work is
-    done. `solve` holds the field; `pareto` and `--emit-levelsets` also hold
-    one field-sized temporary of the u-scale transform (convergence.u_field),
-    so they are charged twice. Only `solve` can stream instead, so only it
-    suggests rolling."""
+    """Refuse full-grid fields above the memory cap, before any work is
+    done or any file is read. `solve` holds the field it solves (none with
+    rolling storage); `pareto` and `--emit-levelsets` also hold one
+    field-sized temporary of the u-scale transform (convergence.u_field), so
+    they are charged twice. A `--field-file` right-hand side is one more
+    field. Only a full `solve` can stream instead, so only it suggests
+    rolling."""
     field = spec.num_nodes * 8
-    need = field if args.command == "solve" else 2 * field
+    if args.command == "solve":
+        copies = int(args.storage == "full")
+    else:
+        copies = 2
+    copies += bool(getattr(args, "field_file", None))
+    need = copies * field
     cap = _mem_cap(args)
     if need > cap:
-        rolling = "--storage rolling or " if args.command == "solve" else ""
+        full_solve = args.command == "solve" and args.storage == "full"
+        rolling = "--storage rolling or " if full_solve else ""
         raise ConfigError(
             f"full-grid field of {field} bytes for n={spec.n}, m={spec.m} "
             f"needs {need} bytes, above the cap of {cap}; rerun with "
@@ -111,7 +119,7 @@ def _rhs_source(args, spec: GridSpec):
 
 def cmd_solve(args) -> int:
     spec = GridSpec(args.n, args.m)
-    if args.storage == "full":
+    if args.storage == "full" or args.field_file:
         _guard_full_storage(spec, args)
     f, label = _rhs_source(args, spec)
 

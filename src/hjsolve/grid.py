@@ -11,6 +11,8 @@ m = 40, 160, 640, ... are exact.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from dataclasses import dataclass
 
@@ -83,18 +85,27 @@ class GridField:
 
     @classmethod
     def load_binary(cls, path) -> "GridField":
+        """Read a save_binary file straight into the returned array, so the
+        load holds one field. A regular file's size is checked before the
+        array is allocated."""
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             if len(head) != _HEADER.size:
                 raise ValueError(f"{path}: truncated header")
             n, m = _HEADER.unpack(head)
             spec = GridSpec(int(n), int(m))
-            data = np.frombuffer(fh.read(), dtype="<f8")
-        if data.size != spec.num_nodes:
+            want = spec.num_nodes * 8
+            st = os.fstat(fh.fileno())
+            got = st.st_size - _HEADER.size if stat.S_ISREG(st.st_mode) else want
+            if got == want:
+                data = np.empty(spec.num_nodes, dtype="<f8")
+                got = fh.readinto(data) + len(fh.read())
+        if got != want:
+            rest = f" and {got % 8} byte(s)" if got % 8 else ""
             raise ValueError(
                 f"{path}: expected {spec.num_nodes} values for n={n}, m={m}, "
-                f"got {data.size}")
-        return cls(spec, data.astype(np.float64))
+                f"got {got // 8}{rest}")
+        return cls(spec, data)
 
     def save_csv(self, path) -> None:
         """One row per node in lexicographic order: coordinates then value,

@@ -19,9 +19,19 @@ One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. Each
 front is checked for a finite nonnegative right-hand side, folded into the
-residual certificate and the error, and scattered into the full field or,
-with rolling storage, only into the final i_1 = m slab. A node whose value,
-product or target is not finite stops the solve with a SolveError naming it.
+residual certificate, and scattered into the full field or, with rolling
+storage, only into the final i_1 = m slab. A node whose value, product or
+target is not finite stops the solve with a SolveError naming it.
+
+Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
+index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
+sliced on axis 0). With full storage the right-hand side is written into the
+output field slab by slab before the pass, each front reads its rhs from
+there, and the error is folded over the same slabs after the pass; rolling
+storage evaluates both per front instead. residual_stats runs over the same
+slabs. So a callable f and an error_fn must be elementwise on broadcastable
+coordinate arrays: the value at a node may not depend on how nodes are
+batched.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import numpy as np
 from .grid import GridField, GridSpec
 
 BISECTION_CAP = 200
+_SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
 
 
 class SchemeDomainError(ValueError):
@@ -341,18 +352,28 @@ def _check_rhs_spec(f, spec: GridSpec) -> None:
         raise ValueError(f"rhs field spec {f.spec} != solve spec {spec}")
 
 
-def _eval_rhs_full(f, spec: GridSpec) -> np.ndarray:
-    _check_rhs_spec(f, spec)
+def _slabs(spec: GridSpec):
+    """Yield (i0, i1, x): the i_1-rows [i0, i1), about _SLAB_NODES nodes and
+    at least one row, and their sparse-mesh coordinates, in row order."""
+    R = spec.m + 1
+    rows = max(1, _SLAB_NODES // R ** (spec.n - 1))
+    mesh = spec.mesh()
+    for i0 in range(0, R, rows):
+        i1 = min(i0 + rows, R)
+        yield i0, i1, (mesh[0][i0:i1],) + mesh[1:]
+
+
+def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
+    """f on the i_1-rows [i0, i1) with coordinates x, broadcast to the slab."""
     if isinstance(f, GridField):
-        return f.values
-    F = np.asarray(_as_rhs(f)(spec.mesh()), dtype=np.float64)
-    return np.broadcast_to(F, spec.shape)
+        return f.values[i0:i1]
+    F = np.asarray(_as_rhs(f)(x), dtype=np.float64)
+    return np.broadcast_to(F, (i1 - i0,) + spec.shape[1:])
 
 
 def _front_rhs(f, spec: GridSpec):
     """f on one front, as a function of the node coordinates x (a tuple of
     1-d arrays), the head rows and the last indices of the nodes."""
-    _check_rhs_spec(f, spec)
     if isinstance(f, GridField):
         F = f.values.reshape(-1, spec.m + 1)
         return lambda x, rows, last: F[rows, last]
@@ -387,43 +408,55 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
 
     Zero (up to float dust) certifies that every node is either inside the
     (1+h) acceptance band or solved exactly (closed form / degenerate cases);
-    any non-finite value, product or target makes it infinite.
+    any non-finite value, product or target makes it infinite. Evaluated
+    over i_1-slabs, each reading its axis-0 neighbors from the row before.
     """
     spec = field.spec
+    _check_rhs_spec(f, spec)
     kind = SchemeKind.parse(kind)
     n, h = spec.n, spec.h
     V = field.values
-    F = _eval_rhs_full(f, spec)
-    if kind.has_boundary_condition:
-        inner = tuple([slice(1, None)] * n)
-        A = []
-        for ax in range(n):
-            sl = [slice(1, None)] * n
-            sl[ax] = slice(None, -1)
-            A.append(V[tuple(sl)])
-        b = _scaled_rhs(kind, F[inner], h, n)
-        parts = [_violation(*_residual(kind, V[inner], A, None, b, n), h)]
-        # boundary nodes must hold exactly zero
-        for ax in range(n):
-            sl = [slice(None)] * n
-            sl[ax] = 0
-            parts.append(_violation(np.abs(V[tuple(sl)]), 0.0, h))
-    else:
-        A = []
-        C = []
-        for ax in range(n):
-            c_shape = [1] * n
-            c_shape[ax] = spec.m + 1
-            C.append((n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape))
-            a = np.zeros_like(V)
-            sl_to = [slice(None)] * n
-            sl_to[ax] = slice(1, None)
-            sl_from = [slice(None)] * n
-            sl_from[ax] = slice(None, -1)
-            a[tuple(sl_to)] = V[tuple(sl_from)]
-            A.append(a)
-        parts = [_violation(*_residual(kind, V, A, C, F, n), h)]
-    return max(float(p.max(initial=0.0)) for p in parts)
+    cs = n * np.arange(spec.m + 1, dtype=np.float64)  # S3 weights n x_i / h
+    worst = 0.0
+    for i0, i1, x in _slabs(spec):
+        F = _slab_rhs(f, spec, i0, i1, x)
+        S = V[i0:i1]
+        if kind.has_boundary_condition:
+            parts = [_violation(np.abs(V[0]), 0.0, h)] if i0 == 0 else []
+            lo = max(i0, 1)  # interior rows of the slab
+            inner = (slice(lo - i0, None),) + (slice(1, None),) * (n - 1)
+            A = [V[lo - 1:i1 - 1][(slice(None),) + inner[1:]]]
+            for ax in range(1, n):
+                sl = list(inner)
+                sl[ax] = slice(None, -1)
+                A.append(S[tuple(sl)])
+            b = _scaled_rhs(kind, F[inner], h, n)
+            parts.append(_violation(*_residual(kind, S[inner], A, None, b, n), h))
+            # boundary nodes must hold exactly zero
+            for ax in range(1, n):
+                sl = [slice(None)] * n
+                sl[ax] = 0
+                parts.append(_violation(np.abs(S[tuple(sl)]), 0.0, h))
+        else:
+            a = np.empty_like(S)
+            a[0] = V[i0 - 1] if i0 else 0.0
+            a[1:] = V[i0:i1 - 1]
+            A = [a]
+            C = [cs[i0:i1].reshape((-1,) + (1,) * (n - 1))]
+            for ax in range(1, n):
+                c_shape = [1] * n
+                c_shape[ax] = -1
+                C.append(cs.reshape(c_shape))
+                a = np.zeros_like(S)
+                sl_to = [slice(None)] * n
+                sl_to[ax] = slice(1, None)
+                sl_from = [slice(None)] * n
+                sl_from[ax] = slice(None, -1)
+                a[tuple(sl_to)] = S[tuple(sl_from)]
+                A.append(a)
+            parts = [_violation(*_residual(kind, S, A, C, F, n), h)]
+        worst = max(worst, *(float(p.max(initial=0.0)) for p in parts))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +539,27 @@ class _Fronts:
 def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
     compute front d; each front is scattered into the full field, or with
-    rolling storage only into the final i_1 = m slab."""
+    rolling storage only into the final i_1 = m slab. With full storage the
+    field holds the rhs until a front overwrites it with its solution."""
     n, m, h = spec.n, spec.m, spec.h
     R = m + 1
+    _check_rhs_spec(f, spec)
     fronts = _Fronts(spec)
     xs = spec.axis_coords()
-    rhs = _front_rhs(f, spec)
     closed = n == 2 and not force_bisection
     heads = R ** (n - 1)
     prev = np.zeros(heads)  # front d-1, by head position
     # scatter target: the flat field, or its last `heads` entries (i_1 = m)
     offset = m * heads if rolling else 0
     out = np.zeros(R * heads - offset)
+    if rolling:
+        rhs = _front_rhs(f, spec)
+    else:
+        field = out.reshape(spec.shape)
+        for i0, i1, x in _slabs(spec):
+            field[i0:i1] = _slab_rhs(f, spec, i0, i1, x)
+    # coordinates per front: the rolling rhs and error, and S3's closed form
+    gather = rolling or (closed and kind is SchemeKind.S3)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
@@ -527,8 +569,9 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
         hidx = [i[lo:hi] for i in fronts.idx]
         last = d - fronts.sum[lo:hi]
         rows = fronts.row[lo:hi]
-        x = tuple(xs[i] for i in hidx) + (xs[last],)
-        fd = rhs(x, rows, last)
+        flat = rows * R + last - offset
+        x = tuple(xs[i] for i in hidx) + (xs[last],) if gather else None
+        fd = rhs(x, rows, last) if rolling else out[flat]
         ok = np.isfinite(fd) & (fd >= 0.0)
         if not ok.all():
             k = int(np.argmin(ok))
@@ -575,13 +618,15 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
             vals = np.zeros(hi - lo)
             vals[sel] = t
 
-        if error_fn is not None:
+        if rolling and error_fn is not None:
             linf = float(np.maximum(linf, np.max(error_fn(vals, x))))
         prev[lo:hi] = vals
-        flat = rows * R + last - offset
         keep = flat >= 0
         out[flat[keep]] = vals[keep]
 
+    if not rolling and error_fn is not None:
+        for i0, i1, x in _slabs(spec):
+            linf = float(np.maximum(linf, np.max(error_fn(field[i0:i1], x))))
     return out, cert, (linf if error_fn is not None else None), stats
 
 
@@ -596,10 +641,15 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     f may be a nonnegative constant, a callable on a tuple of broadcastable
     coordinate arrays, or a GridField on the same spec; a negative or
     non-finite value raises SolveError naming the node, as does a node whose
-    value, product or target overflows. With
-    storage="rolling" the field is not retained; the report then carries the
-    final axis-1 slab. If error_fn is given, the report carries the running
-    sup of error_fn(values, coords) over all nodes.
+    value, product or target overflows. If error_fn is given, the report
+    carries the sup of error_fn(values, coords) over all nodes.
+
+    With storage="full" f is evaluated, and error_fn folded, over i_1-slabs
+    of the sparse mesh: the rhs is written into the field before the pass
+    and the error is taken after it. With storage="rolling" the field is not
+    retained, both are evaluated per front, and the report carries the final
+    axis-1 slab. Either way a callable f and error_fn must be elementwise on
+    broadcastable coordinate arrays, and the two storages agree bit for bit.
     """
     kind = SchemeKind.parse(kind)
     if storage not in ("full", "rolling"):

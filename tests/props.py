@@ -6,7 +6,8 @@ import math
 import numpy as np
 
 from hjsolve.grid import GridField
-from hjsolve.schemes import (SchemeKind, UpdateInputs, _update, s1_update,
+from hjsolve.schemes import (SchemeKind, UpdateInputs, _residual,
+                             _scaled_rhs, _update, _violation, s1_update,
                              s2_update, s3_update)
 
 
@@ -108,6 +109,46 @@ def oracle_solve(spec, kind, f, force_bisection=False) -> np.ndarray:
             continue
         W[mi] = node_update(spec, kind, W, F, mi, method)
     return W
+
+
+def residual_stats_whole_field(field: GridField, kind, f) -> float:
+    """Reference for schemes.residual_stats: the same band violation,
+    evaluated on whole-grid arrays at once (rhs, shifted neighbors and
+    weights all field-sized) instead of over i_1-slabs."""
+    spec = field.spec
+    kind = SchemeKind.parse(kind)
+    n, h = spec.n, spec.h
+    V = field.values
+    F = rhs_values(spec, f)
+    if kind.has_boundary_condition:
+        inner = tuple([slice(1, None)] * n)
+        A = []
+        for ax in range(n):
+            sl = [slice(1, None)] * n
+            sl[ax] = slice(None, -1)
+            A.append(V[tuple(sl)])
+        b = _scaled_rhs(kind, F[inner], h, n)
+        parts = [_violation(*_residual(kind, V[inner], A, None, b, n), h)]
+        for ax in range(n):
+            sl = [slice(None)] * n
+            sl[ax] = 0
+            parts.append(_violation(np.abs(V[tuple(sl)]), 0.0, h))
+    else:
+        A = []
+        C = []
+        for ax in range(n):
+            c_shape = [1] * n
+            c_shape[ax] = spec.m + 1
+            C.append((n * np.arange(spec.m + 1, dtype=np.float64)).reshape(c_shape))
+            a = np.zeros_like(V)
+            sl_to = [slice(None)] * n
+            sl_to[ax] = slice(1, None)
+            sl_from = [slice(None)] * n
+            sl_from[ax] = slice(None, -1)
+            a[tuple(sl_to)] = V[tuple(sl_from)]
+            A.append(a)
+        parts = [_violation(*_residual(kind, V, A, C, F, n), h)]
+    return max(float(p.max(initial=0.0)) for p in parts)
 
 
 def field_csv_per_cell(path, field: GridField) -> None:

@@ -216,6 +216,41 @@ def test_pareto_guard_charges_the_u_transform(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("command,storage,cap", [
+    ("solve", "full", 1000),    # 1x field before, 2x with the rhs file
+    ("solve", "rolling", 600),  # unguarded before, 1x with the rhs file
+    ("pareto", None, 1500),     # 2x field before, 3x with the rhs file
+])
+def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
+                                          command, storage, cap):
+    # n=2, m=8: a 648-byte field. A cap between the old and the new charge
+    # refuses --field-file before the file is read and still passes --case.
+    spec = GridSpec(2, 8)
+    rhs = tmp_path / "rhs.bin"
+    GridField(spec, np.ones(spec.shape)).save_binary(rhs)
+    cloud = tmp_path / "cloud.csv"
+    cloud.write_text("0.1,0.2\n0.5,0.4\n")
+    if command == "solve":
+        argv = ["solve", "--scheme", "s2", "--storage", storage]
+    else:
+        argv = ["pareto", "--input", str(cloud)]
+    argv += ["--n", "2", "--m", "8", "--mem-cap", str(cap)]
+
+    def no_load(path):
+        raise AssertionError("field file read before the guard")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(GridField, "load_binary", no_load)
+        rc = run_cli(*argv, "--field-file", str(rhs), "--out", str(tmp_path / "a"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "field of 648 bytes" in err and f"above the cap of {cap}" in err
+    assert not (tmp_path / "a").exists()
+    assert run_cli(*argv, "--case", "const:1", "--out", str(tmp_path / "b")) == 0
+    assert run_cli(*argv, "--field-file", str(rhs), "--mem-cap", str(cap + 648),
+                   "--out", str(tmp_path / "c")) == 0
+
+
 def test_pareto_outside_points_rejected_before_solve(tmp_path, capsys, monkeypatch):
     from hjsolve import convergence
 

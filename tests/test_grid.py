@@ -195,6 +195,41 @@ def test_binary_rejects_truncation(tmp_path):
         GridField.load_binary(path)
 
 
+@pytest.mark.parametrize("cut", [
+    lambda raw: raw[:10],          # truncated header
+    lambda raw: raw[:16],          # header only
+    lambda raw: raw[:-3],          # a partial last value
+    lambda raw: raw + raw[-8:],    # one value too many
+], ids=["header", "no-values", "partial", "extra"])
+def test_binary_rejects_wrong_size(tmp_path, cut):
+    spec = GridSpec(2, 3)
+    path = tmp_path / "field.bin"
+    GridField(spec, np.arange(spec.num_nodes, dtype=float)).save_binary(path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError, match="truncated header|expected 16 values"):
+        GridField.load_binary(path)
+
+
+def test_binary_load_holds_one_field(tmp_path):
+    # the values are read straight into the returned array: no bytes copy
+    spec = GridSpec(2, 1999)
+    field = GridField(spec, np.random.default_rng(3).random(spec.shape))
+    path = tmp_path / "field.bin"
+    field.save_binary(path)
+    del field
+    tracemalloc.start()
+    try:
+        back = GridField.load_binary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * spec.num_nodes * 8
+    assert back.values.dtype == np.float64 and back.values.flags.writeable
+    assert np.array_equal(
+        back.values.reshape(-1),
+        np.frombuffer(path.read_bytes()[16:], dtype="<f8"))
+
+
 def test_csv_roundtrip_lossless(tmp_path):
     spec = GridSpec(2, 7)
     rng = np.random.default_rng(11)

@@ -1,19 +1,24 @@
 """Full-grid solves: equality with the scalar oracle, exactness on
 constants, comparison bounds between schemes, residual certificates,
-rejection of invalid right-hand sides, and the discrete Lipschitz estimate."""
+rejection of invalid right-hand sides, the discrete Lipschitz estimate, and
+the i_1-slab paths of full storage (rhs, error fold, certificate) against
+the per-front paths of rolling storage."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hjsolve import schemes
+from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import (BisectionCapError, SchemeKind, SolveError,
                              residual_stats, solve)
 from hjsolve.testcases import make_case
 
-from props import node_update, oracle_solve, rhs_values
+from props import (node_update, oracle_solve, residual_stats_whole_field,
+                   rhs_values)
 
 BAND_EPS = 1e-12
 
@@ -327,3 +332,150 @@ def test_report_fields_populated():
     assert rep.wall_time > 0.0
     d = rep.to_dict()
     assert d["scheme"] == "s2" and d["m"] == 6
+
+
+# ---------------------------------------------------------------------------
+# i_1-slab paths: full storage evaluates f and folds error_fn over slabs,
+# rolling storage per front; residual_stats runs over the same slabs
+# ---------------------------------------------------------------------------
+
+def _same_report(full, roll):
+    assert np.array_equal(roll.final_slab, full.field.values[-1].reshape(-1))
+    assert roll.linf_error == full.linf_error
+    assert roll.max_band_violation == full.max_band_violation
+    assert (roll.bisect_nodes, roll.bisect_iters_max, roll.bisect_iters_mean) == \
+        (full.bisect_nodes, full.bisect_iters_max, full.bisect_iters_mean)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("n,m,case_name", [
+    (2, 999, "f2"),  # 16-row slabs, the last one partial
+    (2, 60, "f3"),
+    (3, 40, "f2"),   # 9-row slabs, the last one partial
+    (3, 12, "f1"),
+    (4, 8, "f3"),
+])
+def test_full_and_rolling_agree_bitwise_with_u_scale_error(kind, n, m, case_name):
+    # the u-scale error depends on the coordinates, so the slab error fold
+    # must pair each value with its own node
+    case = make_case(case_name, n)
+    spec = GridSpec(n, m)
+    err = u_scale_error_fn(kind, case)
+    full = solve(spec, kind, case.f, error_fn=err)
+    roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
+    assert full.linf_error > 0.0
+    _same_report(full, roll)
+
+
+@pytest.mark.parametrize("slab_nodes", [1, 50, 1 << 40],
+                         ids=["row", "rows", "whole"])
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("n,m", [(2, 37), (3, 11)])
+def test_slab_size_does_not_change_results(n, m, kind, slab_nodes, monkeypatch):
+    case = make_case("f2", n)
+    spec = GridSpec(n, m)
+    err = u_scale_error_fn(kind, case)
+    ref = solve(spec, kind, case.f, error_fn=err)
+    noisy = GridField(spec, ref.field.values * (1.0 + 1e-3 * np.sin(
+        np.arange(spec.num_nodes)).reshape(spec.shape)))
+    monkeypatch.setattr(schemes, "_SLAB_NODES", slab_nodes)
+    F = GridField(spec, rhs_values(spec, case.f).copy())
+    for f in (case.f, F):
+        rep = solve(spec, kind, f, error_fn=err)
+        assert np.array_equal(rep.field.values, ref.field.values)
+        assert rep.linf_error == ref.linf_error
+        assert rep.max_band_violation == ref.max_band_violation
+    assert residual_stats(noisy, kind, case.f) == \
+        residual_stats_whole_field(noisy, kind, case.f)
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("n,m", [(2, 40), (3, 9), (4, 5)])
+def test_residual_stats_equals_whole_field_reference(n, m, kind):
+    # on a perturbed field the violations are far from zero, so bitwise
+    # equality checks the slab neighbors, weights and boundary faces
+    case = make_case("f3", n)
+    spec = GridSpec(n, m)
+    V = solve(spec, kind, case.f).field.values
+    rng = np.random.default_rng(7)
+    for scale in (1e-9, 1e-2):
+        noisy = GridField(spec, V * (1.0 + scale * rng.standard_normal(V.shape)))
+        noisy.values[(0,) * n] = scale  # nonzero boundary nodes, one
+        noisy.values[(0,) + (m,) * (n - 1)] = 1e3 * scale  # only on i_1 = 0
+        got = residual_stats(noisy, kind, case.f)
+        assert got > 0.0
+        assert got == residual_stats_whole_field(noisy, kind, case.f)
+    F = GridField(spec, rhs_values(spec, case.f).copy())
+    assert residual_stats(noisy, kind, F) == got
+
+
+@pytest.mark.parametrize("kind", ["s1", "s3"])
+@pytest.mark.parametrize("n,m", [(2, 1000), (3, 100)])
+def test_residual_stats_memory_below_one_field(n, m, kind):
+    # slab temporaries only: no whole-grid rhs and no shifted field copies
+    case = make_case("f2", n)
+    spec = GridSpec(n, m)
+    rep = solve(spec, kind, case.f)
+    tracemalloc.start()
+    try:
+        cert = residual_stats(rep.field, kind, case.f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cert == rep.max_band_violation
+    assert peak < spec.num_nodes * 8
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("n,m,ratio", [(2, 2560, 1.03), (3, 100, 1.40)])
+def test_full_solve_memory_with_u_scale_error(n, m, ratio, kind):
+    # the field plus front and slab temporaries: the rhs is written into the
+    # field itself and the error is folded over slabs
+    case = make_case("f2", n)
+    spec = GridSpec(n, m)
+    err = u_scale_error_fn(SchemeKind.parse(kind), case)
+    tracemalloc.start()
+    try:
+        rep = solve(spec, kind, case.f, error_fn=err)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.linf_error > 0.0
+    assert peak <= ratio * spec.num_nodes * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("node", [(5, 2), (5, 2, 6)], ids=["n2", "n3"])
+def test_full_storage_callable_rhs_invalid_node(node, kind, bad):
+    # the slab-filled rhs is checked per front and names the node
+    n = len(node)
+    spec = GridSpec(n, 8)
+
+    def f(xs):
+        hit = np.ones(np.broadcast_shapes(*(np.shape(x) for x in xs)), bool)
+        for x, i in zip(xs, node):
+            hit = hit & (np.asarray(x) == i / 8)
+        return np.where(hit, bad, 1.0)
+
+    for storage in ("full", "rolling"):
+        with pytest.raises(SolveError) as err:
+            solve(spec, kind, f, storage=storage)
+        assert err.value.multi_index == node
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("n,m", [(2, 30), (3, 7)])
+@pytest.mark.parametrize("rhs", [
+    lambda xs: 1.0 + np.sin(3.0 * np.asarray(xs[0])),  # depends on x_1 only
+    lambda xs: 2.0,                                    # returns a scalar
+    0.75,                                              # constant
+], ids=["x1-only", "scalar", "constant"])
+def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
+    spec = GridSpec(n, m)
+    err = lambda vals, xs: np.abs(vals - np.asarray(xs[-1]))
+    full = solve(spec, kind, rhs, error_fn=err)
+    roll = solve(spec, kind, rhs, storage="rolling", error_fn=err)
+    _same_report(full, roll)
+    f = rhs if callable(rhs) else (lambda xs: rhs)
+    assert np.array_equal(full.field.values, oracle_solve(spec, kind, f))
