@@ -159,7 +159,7 @@ def cmd_convergence(args) -> int:
     if not args.case:
         raise ConfigError("--case is required")
     case = parse_case(args.case, args.n, k=args.k, C=args.bigc)
-    if args.m_list:
+    if args.m_list is not None:
         ms = args.m_list
     else:
         try:

@@ -48,6 +48,9 @@ class StudySpec:
             raise ValueError("empty mesh sequence")
         if any(m2 <= m1 for m1, m2 in zip(self.ms, self.ms[1:])):
             raise ValueError(f"mesh sequence must be strictly increasing, got {self.ms}")
+        names = [SchemeKind.parse(k).value for k in self.schemes]
+        if len(set(names)) != len(names):
+            raise ValueError(f"duplicate scheme in {','.join(names)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
 

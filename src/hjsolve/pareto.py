@@ -6,11 +6,13 @@ the set of coordinatewise minimal points once fronts 1..k-1 are removed,
 equivalently 1 + the length of the longest domination chain ending at the
 point.
 
-Peeling sweeps the points in lexicographic order, so every dominator of a
-point comes before it, and binary-searches the fronts for the first one
-holding no dominator: O(N log N) for n=2 (one running minimum per front),
-O(N log^2 N) comparisons for n=3 (a 2-d staircase per front) and O(N^2)
-worst case for n >= 4 (a scan of every point of each probed front).
+Peeling is one sweep (`_fronts`): the points in lexicographic order, so
+every dominator of a point comes before it, exact duplicates grouped, and a
+binary search over the fronts for the first one holding no dominator. Two
+kernels test a front for a dominator. `_peel_staircases` serves n <= 3 with
+a 2-d staircase per front: O(N log N) for n <= 2, where each staircase holds
+one entry, and O(N log^2 N) comparisons for n=3. `_peel_buckets` serves
+n >= 4 with a scan of every point of each probed front: O(N^2) worst case.
 
 pde_rank assigns each point the multilinearly interpolated value of a solved
 grid field; its level sets approximate the fronts, and rank_agreement
@@ -124,96 +126,17 @@ def save_ranked_csv(path, cloud: PointCloud, fronts: np.ndarray,
 # Front peeling
 # ---------------------------------------------------------------------------
 
-class _FrontBucket:
-    """Points of one front, in an amortized-growth array."""
-
-    __slots__ = ("data", "size")
-
-    def __init__(self, n: int):
-        self.data = np.empty((64, n))
-        self.size = 0
-
-    def add(self, q: np.ndarray) -> None:
-        if self.size == len(self.data):
-            grown = np.empty((2 * len(self.data), self.data.shape[1]))
-            grown[:self.size] = self.data
-            self.data = grown
-        self.data[self.size] = q
-        self.size += 1
-
-    def dominates(self, q: np.ndarray) -> bool:
-        view = self.data[:self.size]
-        return bool(np.any(np.all(view <= q, axis=1) & np.any(view < q, axis=1)))
-
-
-def _fronts_generic(points: np.ndarray) -> np.ndarray:
-    """Any dimension. Process points in lexicographic order (so dominators
-    come first) and binary-search the front stack: a point belongs to the
-    first front that contains no dominator of it. O(N^2) worst case."""
-    N, n = points.shape
-    order = np.lexsort(points.T[::-1])
-    fronts = np.empty(N, dtype=np.int64)
-    buckets: list[_FrontBucket] = []
-    for pos in range(N):
-        q = points[order[pos]]
-        lo, hi = 0, len(buckets)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if buckets[mid].dominates(q):
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(buckets):
-            buckets.append(_FrontBucket(n))
-        buckets[lo].add(q)
-        fronts[order[pos]] = lo + 1
-    return fronts
-
-
-def _fronts_2d(points: np.ndarray) -> np.ndarray:
-    """n=2 fast path: sweep in lexicographic order keeping, per front, the
-    smallest second coordinate seen; that sequence is nondecreasing, so the
-    front index of each point is found by binary search. Groups of exact
-    duplicates are assigned together (duplicates never dominate)."""
-    N = len(points)
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    P = points[order]
-    fronts_sorted = np.empty(N, dtype=np.int64)
-    mins: list[float] = []
-    i = 0
-    while i < N:
-        j = i
-        while j < N and P[j, 0] == P[i, 0] and P[j, 1] == P[i, 1]:
-            j += 1
-        y = P[i, 1]
-        k = bisect_right(mins, y)
-        fronts_sorted[i:j] = k + 1
-        if k == len(mins):
-            mins.append(y)
-        else:
-            mins[k] = y
-        i = j
-    fronts = np.empty(N, dtype=np.int64)
-    fronts[order] = fronts_sorted
-    return fronts
-
-
-def _fronts_3d(points: np.ndarray) -> np.ndarray:
-    """n=3 sweep in lexicographic order. Every point seen so far has a first
-    coordinate no larger, so a point is dominated by a front iff the front's
-    2-d staircase of (y, z) minima has an entry <= (y, z). Each staircase is
-    two lists, y ascending and z strictly descending, so the check is one
-    bisection; a dominator in front k implies one in every earlier front, so
-    the front is found by binary search. Groups of exact duplicates are
-    assigned together (duplicates never dominate)."""
-    N = len(points)
-    order = np.lexsort((points[:, 2], points[:, 1], points[:, 0]))
-    P = points[order]
-    starts = np.flatnonzero(np.r_[True, np.any(P[1:] != P[:-1], axis=1)])
+def _peel_staircases(tails: np.ndarray) -> list[int]:
+    """n <= 3 kernel. A point is dominated by a front iff the front's 2-d
+    staircase of (y, z) minima has an entry <= (y, z). Each staircase is two
+    lists, y ascending and z strictly descending, so the check is one
+    bisection. Clouds with n < 3 are padded with constant zero coordinates,
+    which changes no domination; a staircase then holds one entry."""
+    cols = tails.T.tolist() + [[0.0] * len(tails)] * (2 - tails.shape[1])
     labels: list[int] = []
     stairs_y: list[list[float]] = []
     stairs_z: list[list[float]] = []
-    for y, z in zip(P[starts, 1].tolist(), P[starts, 2].tolist()):
+    for y, z in zip(*cols):
         lo, hi = 0, len(stairs_y)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -236,21 +159,65 @@ def _fronts_3d(points: np.ndarray) -> np.ndarray:
             last += 1
         ys[first:last] = [y]
         zs[first:last] = [z]
+    return labels
+
+
+def _peel_buckets(tails: np.ndarray) -> list[int]:
+    """Any-dimension kernel: a front dominates a point iff one of its points
+    is <= it on the trailing coordinates. Each front keeps its points in an
+    array grown by doubling. O(N^2) worst case."""
+    labels: list[int] = []
+    fronts: list[np.ndarray] = []
+    sizes: list[int] = []
+    for q in tails:
+        lo, hi = 0, len(fronts)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if np.all(fronts[mid][:sizes[mid]] <= q, axis=1).any():
+                lo = mid + 1
+            else:
+                hi = mid
+        labels.append(lo + 1)
+        if lo == len(fronts):
+            fronts.append(np.empty((64, len(q))))
+            sizes.append(0)
+        elif sizes[lo] == len(fronts[lo]):
+            fronts[lo] = np.concatenate([fronts[lo], np.empty_like(fronts[lo])])
+        fronts[lo][sizes[lo]] = q
+        sizes[lo] += 1
+    return labels
+
+
+def _fronts(points: np.ndarray, peel) -> np.ndarray:
+    """The sweep: sort lexicographically, so every dominator of a point comes
+    before it, and group exact duplicates, which share a front. Every point
+    seen so far is distinct and has a first coordinate no larger, so `peel`
+    gets only the trailing coordinates of the distinct points, in sweep
+    order, and returns their 1-based labels. A dominator in front k implies
+    one in every earlier front, so a kernel binary-searches the fronts for
+    the first one holding no dominator."""
+    N = len(points)
+    order = np.lexsort(points.T[::-1])
+    P = points[order]
+    starts = np.flatnonzero(np.r_[True, np.any(P[1:] != P[:-1], axis=1)])
+    tails = P[starts, 1:]
+    del P  # not held while peeling
+    labels = peel(tails)
     fronts = np.empty(N, dtype=np.int64)
     fronts[order] = np.repeat(labels, np.diff(np.r_[starts, N]))
     return fronts
 
 
 def pareto_fronts(cloud: PointCloud) -> np.ndarray:
-    """1-based front index per point (empty cloud allowed -> empty labels),
-    by the sweep of its dimension for n=2 and n=3 and generic peeling for
-    n >= 4."""
-    pts = np.asarray(cloud.points if isinstance(cloud, PointCloud) else cloud,
-                     dtype=np.float64)
+    """1-based front index per point (empty cloud allowed -> empty labels).
+    A raw array is checked as a PointCloud first, so non-finite coordinates
+    or a shape other than (N, n) raise ValueError."""
+    if not isinstance(cloud, PointCloud):
+        cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
+    pts = cloud.points
     if pts.size == 0:
         return np.empty(0, dtype=np.int64)
-    sweep = {2: _fronts_2d, 3: _fronts_3d}.get(pts.shape[1], _fronts_generic)
-    return sweep(pts)
+    return _fronts(pts, _peel_staircases if cloud.n <= 3 else _peel_buckets)
 
 
 # ---------------------------------------------------------------------------

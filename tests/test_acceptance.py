@@ -10,8 +10,8 @@ import pytest
 
 from hjsolve.convergence import u_field
 from hjsolve.grid import GridSpec
-from hjsolve.pareto import (PointCloud, _fronts_2d, _fronts_3d, _fronts_generic,
-                            pareto_fronts, pde_rank, rank_agreement)
+from hjsolve.pareto import (PointCloud, _fronts, _peel_buckets, pareto_fronts,
+                            pde_rank, rank_agreement)
 from hjsolve.schemes import solve
 from hjsolve.testcases import make_case
 
@@ -215,8 +215,9 @@ def test_criterion_6_property_suites(cache):
 
 
 def test_criterion_7_pareto_oracle():
-    with criterion(7, "peeling equals brute force on 100 clouds; 2-d fast "
-                      "path equals generic at N=10^5, 3-d at N=10^4"):
+    with criterion(7, "peeling equals brute force on 100 clouds; staircase "
+                      "kernel equals bucket kernel at N=10^5 (2-d) and "
+                      "N=10^4 (3-d)"):
         rng = np.random.default_rng(777)
         for trial in range(100):
             n = int(rng.integers(2, 5))
@@ -225,15 +226,12 @@ def test_criterion_7_pareto_oracle():
             if trial % 4 == 0:
                 pts = np.round(pts, 1)  # ties and duplicates
             expected = peel_bruteforce(pts)
-            assert np.array_equal(_fronts_generic(pts), expected)
-            if n == 2:
-                assert np.array_equal(_fronts_2d(pts), expected)
-            if n == 3:
-                assert np.array_equal(_fronts_3d(pts), expected)
+            assert np.array_equal(_fronts(pts, _peel_buckets), expected)
+            assert np.array_equal(pareto_fronts(pts), expected)
         big = np.random.default_rng(778).random((100_000, 2))
-        assert np.array_equal(_fronts_2d(big), _fronts_generic(big))
+        assert np.array_equal(pareto_fronts(big), _fronts(big, _peel_buckets))
         big3 = np.random.default_rng(779).random((10_000, 3))
-        assert np.array_equal(_fronts_3d(big3), _fronts_generic(big3))
+        assert np.array_equal(pareto_fronts(big3), _fronts(big3, _peel_buckets))
 
 
 def test_criterion_8_sqrt_h_consistency(cache):

@@ -160,6 +160,25 @@ def test_convergence_markdown_and_csv(tmp_path, capsys):
     assert len(lines) == 1 + 3 * 3
 
 
+@pytest.mark.parametrize("m_list", [",", ""])
+def test_convergence_empty_m_list_exits_2(capsys, m_list):
+    rc = run_cli("convergence", "--case", "const:1", "--n", "2", "--m-list", m_list)
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "empty mesh sequence" in err
+
+
+def test_convergence_duplicate_schemes_exit_2(tmp_path, capsys):
+    rc = run_cli("convergence", "--case", "const:1", "--n", "2", "--m-list", "4,8",
+                 "--schemes", "s1,s1", "--emit-levelsets", "--out", str(tmp_path))
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "duplicate scheme in s1,s1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_convergence_const_s2_errors_within_band(capsys):
     rc = run_cli("convergence", "--case", "const:2", "--n", "3", "--max-k", "1",
                  "--schemes", "s2", "--format", "json")

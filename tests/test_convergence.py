@@ -75,6 +75,10 @@ def test_studyspec_validation():
         StudySpec(case=case, ms=(40, 40))
     with pytest.raises(ValueError):
         StudySpec(case=case, ms=(40, 160), jobs=0)
+    with pytest.raises(ValueError, match="duplicate scheme"):
+        StudySpec(case=case, schemes=(SchemeKind.S1, SchemeKind.S1), ms=(40,))
+    with pytest.raises(ValueError, match="duplicate scheme"):
+        StudySpec(case=case, schemes=(SchemeKind.S2, "s3", SchemeKind.S3), ms=(40,))
 
 
 def test_run_study_constant_exact_rows():

@@ -1,5 +1,5 @@
-"""Front peeling against a brute-force oracle, the 2-d fast path, multilinear
-ranking, and the agreement metric."""
+"""Front peeling against a brute-force oracle and the any-dimension kernel,
+multilinear ranking, and the agreement metric."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,7 @@ import pytest
 from hjsolve.convergence import u_field
 from hjsolve.grid import GridSpec
 from hjsolve.pareto import (CloudFormatError, PointCloud, PointsOutsideDomainError,
-                            _fronts_2d, _fronts_3d, _fronts_generic,
-                            check_in_unit_cube, load_cloud_csv, pareto_fronts,
+                            _fronts, _peel_buckets, check_in_unit_cube, load_cloud_csv, pareto_fronts,
                             pde_rank, rank_agreement, save_ranked_csv)
 
 from props import agreement_pairs, peel_bruteforce
@@ -43,7 +42,7 @@ def test_domination_implies_strictly_later_front():
             assert fr[j] < fr[i]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_fronts_match_bruteforce(n):
     rng = np.random.default_rng(100 + n)
     for trial in range(12):
@@ -52,12 +51,8 @@ def test_fronts_match_bruteforce(n):
         if trial % 3 == 0:
             pts = np.round(pts, 1)  # ties and duplicates
         expected = peel_bruteforce(pts)
-        assert np.array_equal(_fronts_generic(pts), expected)
+        assert np.array_equal(_fronts(pts, _peel_buckets), expected)
         assert np.array_equal(pareto_fronts(PointCloud(pts)), expected)
-        if n == 2:
-            assert np.array_equal(_fronts_2d(pts), expected)
-        if n == 3:
-            assert np.array_equal(_fronts_3d(pts), expected)
 
 
 def _clouds_3d(rng):
@@ -80,24 +75,38 @@ def test_fronts_3d_matches_bruteforce_and_generic():
     rng = np.random.default_rng(303)
     for pts in _clouds_3d(rng):
         expected = peel_bruteforce(pts)
-        assert np.array_equal(_fronts_3d(pts), expected)
-        assert np.array_equal(_fronts_generic(pts), expected)
+        assert np.array_equal(pareto_fronts(pts), expected)
+        assert np.array_equal(_fronts(pts, _peel_buckets), expected)
     chain = np.column_stack([np.linspace(1.0, 0.0, 60)] * 3)
-    assert _fronts_3d(chain).tolist() == list(range(60, 0, -1))
+    assert pareto_fronts(chain).tolist() == list(range(60, 0, -1))
 
 
 def test_fast3d_matches_generic_medium():
     rng = np.random.default_rng(19)
     pts = rng.random((4000, 3))
-    assert np.array_equal(_fronts_3d(pts), _fronts_generic(pts))
+    assert np.array_equal(pareto_fronts(pts), _fronts(pts, _peel_buckets))
     ints = rng.integers(0, 6, size=(4000, 3)).astype(float)  # heavy ties
-    assert np.array_equal(_fronts_3d(ints), _fronts_generic(ints))
+    assert np.array_equal(pareto_fronts(ints), _fronts(ints, _peel_buckets))
 
 
 def test_fast2d_matches_generic_medium():
     rng = np.random.default_rng(9)
     pts = rng.random((4000, 2))
-    assert np.array_equal(_fronts_2d(pts), _fronts_generic(pts))
+    assert np.array_equal(pareto_fronts(pts), _fronts(pts, _peel_buckets))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_raw_array_non_finite_rejected(n, bad):
+    pts = np.array([[0.0] * n, [0.5] * n, [1.0] + [0.2] * (n - 1)])
+    pts[2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        pareto_fronts(pts)
+
+
+def test_raw_array_wrong_shape_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        pareto_fronts(np.array([0.3, 0.1, 0.2]))
 
 
 def test_empty_cloud():
