@@ -168,7 +168,6 @@ def cmd_convergence(args) -> int:
             raise ConfigError(str(exc)) from None
     schemes = tuple(SchemeKind.parse(s) for s in args.schemes.split(","))
     study = conv.StudySpec(case=case, schemes=schemes, ms=tuple(ms),
-                           jobs=args.jobs, force_bisection=args.force_bisection,
                            byte_cap=_mem_cap(args))
     if args.emit_levelsets:
         level_spec = GridSpec(args.n, max(ms))
@@ -195,8 +194,7 @@ def cmd_convergence(args) -> int:
         for kind in schemes:
             p = out / (f"levelset_{kind.value}_{_safe_label(case.label)}"
                        f"_n{args.n}_m{level_spec.m}.csv")
-            conv.u_field(level_spec, kind, case.f,
-                         force_bisection=args.force_bisection).save_csv(p)
+            conv.u_field(level_spec, kind, case.f).save_csv(p)
             print(f"wrote {p}", file=sys.stderr)
     return 0
 
@@ -308,8 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--m-list", type=_int_list, default=None,
                     help="explicit mesh sequence, e.g. 40,160,640")
     pc.add_argument("--format", default="markdown", choices=("markdown", "csv", "json"))
-    pc.add_argument("--jobs", type=int, default=1, help="concurrent row solves")
-    pc.add_argument("--force-bisection", action="store_true")
     pc.add_argument("--emit-levelsets", action="store_true",
                     help="write contour-ready (x, u) node CSVs at the finest mesh")
     pc.set_defaults(func=cmd_convergence)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +38,7 @@ class StudySpec:
     case: TestCase
     schemes: tuple[SchemeKind, ...] = (SchemeKind.S1, SchemeKind.S2, SchemeKind.S3)
     ms: tuple[int, ...] = ()
-    jobs: int = 1
-    force_bisection: bool = False
+    jobs: int = 1  # rows run in order; kept, as 1 only, for benchmarks/workloads.py
     byte_cap: int = FULL_STORAGE_BYTE_CAP
 
     def __post_init__(self):
@@ -51,8 +49,8 @@ class StudySpec:
         names = [SchemeKind.parse(k).value for k in self.schemes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate scheme in {','.join(names)}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+        if self.jobs != 1:
+            raise ValueError(f"jobs must be 1 (rows run in order), got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -76,49 +74,33 @@ def u_scale_error_fn(kind: SchemeKind, case: TestCase):
     return lambda vals, xs: np.abs(to_u(kind, vals, xs, case.n) - case.u(xs))
 
 
-def u_field(spec: GridSpec, kind, f, force_bisection: bool = False) -> GridField:
+def u_field(spec: GridSpec, kind, f) -> GridField:
     """Solve with full storage and return the field on the u scale. The
     solved array is transformed in place, so the peak is the field plus at
     most one field-sized temporary (S3's coordinate product)."""
-    values = solve(spec, kind, f, force_bisection=force_bisection).field.values
+    values = solve(spec, kind, f).field.values
     return GridField(spec, to_u(kind, values, spec.mesh(), spec.n, in_place=True))
 
 
-def _solve_row(case: TestCase, kind: SchemeKind, m: int, force_bisection: bool,
-               byte_cap: int, jobs: int) -> float:
+def _solve_row(case: TestCase, kind: SchemeKind, m: int, byte_cap: int) -> float:
     """u-scale sup error of one row solve; the field is dropped at once.
-    Each of the `jobs` concurrent rows holds its own field, so full storage
-    is used only while all of them fit under byte_cap together."""
+    Rows run in order, one field at a time, so a row uses full storage
+    when its own field fits under byte_cap and streams otherwise."""
     spec = GridSpec(case.n, m)
-    err = u_scale_error_fn(kind, case)
-    storage = "full" if jobs * spec.num_nodes * 8 <= byte_cap else "rolling"
+    storage = "full" if spec.num_nodes * 8 <= byte_cap else "rolling"
     return solve(spec, kind, case.f, storage=storage,
-                 force_bisection=force_bisection, error_fn=err).linf_error
+                 error_fn=u_scale_error_fn(kind, case)).linf_error
 
 
 def run_study(study: StudySpec) -> dict[SchemeKind, list[ConvergenceRow]]:
-    """Solve every (scheme, m) pair, measure u-scale sup errors and chain
-    observed orders. Row solves are independent; `jobs` > 1 runs them in a
-    thread pool, with output ordered deterministically by m."""
-    pairs = [(kind, m) for kind in study.schemes for m in study.ms]
-
-    def work(pair):
-        kind, m = pair
-        return _solve_row(study.case, kind, m, study.force_bisection,
-                          study.byte_cap, study.jobs)
-
-    if study.jobs == 1:
-        errors = {pair: work(pair) for pair in pairs}
-    else:
-        with ThreadPoolExecutor(max_workers=study.jobs) as pool:
-            errors = dict(zip(pairs, pool.map(work, pairs)))
-
+    """Solve every (scheme, m) pair in order, measure u-scale sup errors and
+    chain observed orders."""
     out: dict[SchemeKind, list[ConvergenceRow]] = {}
     for kind in study.schemes:
         rows = []
         prev = None
         for m in study.ms:
-            e = errors[(kind, m)]
+            e = _solve_row(study.case, kind, m, study.byte_cap)
             h = 1.0 / m
             order = None
             if prev is not None and e > 0.0 and prev.error > 0.0:

@@ -53,8 +53,8 @@ class PointCloud:
 
     def __post_init__(self):
         pts = self.points
-        if pts.ndim != 2:
-            raise ValueError(f"expected a (N, n) array, got shape {pts.shape}")
+        if pts.ndim != 2 or pts.shape[1] == 0:
+            raise ValueError(f"expected a (N, n) array with n >= 1, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("point cloud contains non-finite coordinates")
 
@@ -211,7 +211,7 @@ def _fronts(points: np.ndarray, peel) -> np.ndarray:
 def pareto_fronts(cloud: PointCloud) -> np.ndarray:
     """1-based front index per point (empty cloud allowed -> empty labels).
     A raw array is checked as a PointCloud first, so non-finite coordinates
-    or a shape other than (N, n) raise ValueError."""
+    or a shape other than (N, n) with n >= 1 raise ValueError."""
     if not isinstance(cloud, PointCloud):
         cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
     pts = cloud.points

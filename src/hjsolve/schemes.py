@@ -503,8 +503,10 @@ class _Fronts:
 
     Front d holds the heads with sum in [max(0, d-m), min(d, (n-1)m)], each
     with last index d - sum(head). The backward neighbor along head axis j
-    sits at position back[j] (the head itself where i_j = 0; callers mask
-    those), along the last axis at the same position, both on front d-1.
+    sits at position back[j], along the last axis at the same position, both
+    on front d-1. Where i_j = 0 (or the last index is 0) that position holds
+    some finite value of the wrong node: S1/S2 gather inner nodes only, and
+    S3 weights it by c_j = n*i_j = 0, so it drops out exactly.
     """
 
     def __init__(self, spec: GridSpec):
@@ -582,16 +584,14 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
         if kind.has_boundary_condition:
             sel = np.nonzero(fronts.inner[lo:hi] & (last >= 1))[0]
             pos = lo + sel
-            A = [prev[b[pos]] for b in fronts.back] + [prev[pos]]
             C = None
             fs = fd[sel]
         else:
             sel = None
-            A = [np.where(i >= 1, prev[b[lo:hi]], 0.0)
-                 for i, b in zip(hidx, fronts.back)]
-            A.append(np.where(last >= 1, prev[lo:hi], 0.0))
+            pos = slice(lo, hi)
             C = [(n * i).astype(np.float64) for i in hidx + [last]]
             fs = fd
+        A = [prev[b[pos]] for b in fronts.back] + [prev[pos]]
 
         def node(k):
             """Multi-index of entry k of the update batch."""

@@ -179,6 +179,16 @@ def test_convergence_duplicate_schemes_exit_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--force-bisection"]],
+                         ids=["jobs", "force-bisection"])
+def test_convergence_removed_flags_exit_2(flag, capsys):
+    # rows run in order with the closed forms at n=2; neither flag is known
+    with pytest.raises(SystemExit) as exc:
+        run_cli("convergence", "--case", "f2", "--n", "2", "--max-k", "0", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_convergence_const_s2_errors_within_band(capsys):
     rc = run_cli("convergence", "--case", "const:2", "--n", "3", "--max-k", "1",
                  "--schemes", "s2", "--format", "json")

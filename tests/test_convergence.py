@@ -73,8 +73,9 @@ def test_studyspec_validation():
         StudySpec(case=case, ms=())
     with pytest.raises(ValueError):
         StudySpec(case=case, ms=(40, 40))
-    with pytest.raises(ValueError):
-        StudySpec(case=case, ms=(40, 160), jobs=0)
+    for jobs in (0, 2):
+        with pytest.raises(ValueError, match="jobs"):
+            StudySpec(case=case, ms=(40, 160), jobs=jobs)
     with pytest.raises(ValueError, match="duplicate scheme"):
         StudySpec(case=case, schemes=(SchemeKind.S1, SchemeKind.S1), ms=(40,))
     with pytest.raises(ValueError, match="duplicate scheme"):
@@ -110,10 +111,9 @@ def test_run_study_rolling_fallback_matches_full():
     assert full == rolled
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_run_study_byte_cap_scales_with_jobs(monkeypatch, jobs):
-    # each concurrent row holds a full field, so the cap must cover jobs of
-    # them; a cap between one and two fields runs full only with jobs=1
+def test_run_study_byte_cap_per_row(monkeypatch):
+    # rows run in order, one field at a time: a row runs full exactly when
+    # its own field fits under the cap
     storages = []
     real_solve = convergence.solve
 
@@ -124,10 +124,10 @@ def test_run_study_byte_cap_scales_with_jobs(monkeypatch, jobs):
     monkeypatch.setattr(convergence, "solve", recording_solve)
     case = make_case("f2", 2)
     ms = (30, 32)
-    cap = 3 * GridSpec(2, 32).num_nodes * 8 // 2  # 1.5 fields at m=32
-    assert 2 * GridSpec(2, 30).num_nodes * 8 > cap
-    rows = run_study(StudySpec(case=case, ms=ms, jobs=jobs, byte_cap=cap))
-    assert storages == ["full" if jobs == 1 else "rolling"] * 6
+    cap = (GridSpec(2, 30).num_nodes + GridSpec(2, 32).num_nodes) * 8 // 2
+    assert GridSpec(2, 30).num_nodes * 8 <= cap < GridSpec(2, 32).num_nodes * 8
+    rows = run_study(StudySpec(case=case, ms=ms, byte_cap=cap))
+    assert storages == ["full", "rolling"] * 3
     monkeypatch.setattr(convergence, "solve", real_solve)
     assert rows == run_study(StudySpec(case=case, ms=ms))
 
@@ -164,14 +164,9 @@ def test_u_field_memory_within_two_fields(kind, n, m):
     assert np.array_equal(field.values, expected)
 
 
-def test_run_study_deterministic_and_parallel_identical():
-    case = make_case("f2", 2)
-    study1 = StudySpec(case=case, ms=(10, 20, 40))
-    study2 = StudySpec(case=case, ms=(10, 20, 40), jobs=3)
-    r1 = run_study(study1)
-    r2 = run_study(study1)
-    r3 = run_study(study2)
-    assert r1 == r2 == r3  # frozen dataclass rows compare by value
+def test_run_study_deterministic():
+    study = StudySpec(case=make_case("f2", 2), ms=(10, 20, 40))
+    assert run_study(study) == run_study(study)  # rows compare by value
 
 
 def test_run_study_drops_each_field(monkeypatch):

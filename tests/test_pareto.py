@@ -105,8 +105,9 @@ def test_raw_array_non_finite_rejected(n, bad):
 
 
 def test_raw_array_wrong_shape_rejected():
-    with pytest.raises(ValueError, match="shape"):
-        pareto_fronts(np.array([0.3, 0.1, 0.2]))
+    for pts in (np.array([0.3, 0.1, 0.2]), np.empty((5, 0))):
+        with pytest.raises(ValueError, match="shape"):
+            pareto_fronts(pts)
 
 
 def test_empty_cloud():

@@ -33,6 +33,7 @@ BAND_EPS = 1e-12
     (3, 8, "s2", "f2", False),
     (3, 8, "s3", "f1", False),
     (4, 4, "s2", "f3", False),
+    (4, 4, "s3", "f1", False),
 ])
 def test_engine_equals_oracle_bitwise(n, m, kind, case_name, force):
     case = make_case(case_name, n)
