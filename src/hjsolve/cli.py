@@ -7,7 +7,8 @@ identical invocations; wall-clock time appears only in the JSON report
 sidecars.
 
 Environment overrides: HJSOLVE_OUT_DIR (default output directory) and
-HJSOLVE_MEM_CAP (full-grid memory cap in bytes, default 8 GiB).
+HJSOLVE_MEM_CAP (memory cap in bytes; the default is the machine's physical
+memory where os.sysconf reports it, else 8 GiB).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .grid import GridField, GridSpec
 from .pareto import (CloudFormatError, PointsOutsideDomainError,
                      check_in_unit_cube, load_cloud_csv, pareto_fronts,
                      pde_rank, rank_agreement, save_ranked_csv)
-from .schemes import SchemeKind, SolveError, solve
+from .schemes import SchemeKind, SolveError, solve, working_set_bytes
 from .testcases import DEFAULT_C, DEFAULT_K, parse_case
 
 
@@ -51,21 +52,21 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _guard_full_storage(spec: GridSpec, args) -> None:
-    """Refuse full-grid fields above the memory cap, before any work is
-    done or any file is read. `solve` holds the field it solves (none with
-    rolling storage); `pareto` and `--emit-levelsets` also hold one
-    field-sized temporary of the u-scale transform (convergence.u_field), so
-    they are charged twice. A `--field-file` right-hand side is one more
-    field. Only a full `solve` can stream instead, so only it suggests
-    rolling."""
+def _guard_memory(spec: GridSpec, args) -> None:
+    """Refuse a run whose working set is above the memory cap, before any
+    work is done or any file is read. A solve holds its field (none with
+    rolling storage) and its front- or slab-sized work arrays
+    (schemes.working_set_bytes). `pareto` and `--emit-levelsets` solve with
+    full storage and then also hold one field-sized temporary of the u-scale
+    transform (convergence.u_field), so they are charged one more field. A
+    `--field-file` right-hand side is one more field. Only a full `solve`
+    can stream instead, so only it suggests rolling."""
     field = spec.num_nodes * 8
     if args.command == "solve":
-        copies = int(args.storage == "full")
+        need = working_set_bytes(spec, args.storage)
     else:
-        copies = 2
-    copies += bool(getattr(args, "field_file", None))
-    need = copies * field
+        need = working_set_bytes(spec) + field
+    need += field * bool(getattr(args, "field_file", None))
     cap = _mem_cap(args)
     if need > cap:
         full_solve = args.command == "solve" and args.storage == "full"
@@ -119,8 +120,7 @@ def _rhs_source(args, spec: GridSpec):
 
 def cmd_solve(args) -> int:
     spec = GridSpec(args.n, args.m)
-    if args.storage == "full" or args.field_file:
-        _guard_full_storage(spec, args)
+    _guard_memory(spec, args)
     f, label = _rhs_source(args, spec)
 
     rep = solve(spec, args.scheme, f, storage=args.storage,
@@ -171,7 +171,7 @@ def cmd_convergence(args) -> int:
                            byte_cap=_mem_cap(args))
     if args.emit_levelsets:
         level_spec = GridSpec(args.n, max(ms))
-        _guard_full_storage(level_spec, args)
+        _guard_memory(level_spec, args)
     rows = conv.run_study(study)
 
     title = f"case {case.label}, n={args.n}"
@@ -205,7 +205,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_pareto(args) -> int:
     spec = GridSpec(args.n, args.m)
-    _guard_full_storage(spec, args)
+    _guard_memory(spec, args)
     f, label = _rhs_source(args, spec)
     kind = SchemeKind.parse(args.scheme)
     phases: dict[str, float] = {}
@@ -273,7 +273,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="kink strength parameter of case f3")
     p.add_argument("--out", help="output directory (or HJSOLVE_OUT_DIR)")
     p.add_argument("--mem-cap", type=int, default=None,
-                   help="full-grid memory cap in bytes (or HJSOLVE_MEM_CAP)")
+                   help="memory cap in bytes (or HJSOLVE_MEM_CAP)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,18 @@ from .testcases import TestCase, to_u
 
 _SEQUENCES = {2: (40, 4), 3: (20, 2), 4: (4, 2)}
 
-FULL_STORAGE_BYTE_CAP = 8 << 30  # refuse full-grid fields above this
+
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 8 GiB where os.sysconf cannot tell."""
+    try:
+        pages = os.sysconf("SC_PHYS_PAGES")
+        page = os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 8 << 30
+    return pages * page if pages > 0 and page > 0 else 8 << 30
+
+
+FULL_STORAGE_BYTE_CAP = _physical_memory()  # default memory cap, in bytes
 
 
 def default_mesh_sequence(n: int, max_k: int = 5) -> list[int]:

@@ -13,7 +13,11 @@ dimensions the root is bracketed and bisected until the residual product lands
 in the multiplicative band [target, (1+h)*target], which keeps the iteration
 error below the truncation error of the scheme. Each equation is written once,
 as the (product, target) pair of _residual; the one bisection kernel and the
-residual certificate both evaluate it.
+residual certificate both evaluate it. Where a root lands inside the band
+moves the n = 3 errors by up to a third, so the kernel keeps the plain
+bisection path (the same midpoints for every node, however it is batched)
+and saves only on bookkeeping: select-free bracket updates and lazy
+compaction of the batch (_band_root).
 
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
@@ -47,6 +51,13 @@ from .grid import GridField, GridSpec
 
 BISECTION_CAP = 200
 _SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
+_COMPACT = 0.5  # gather the bisection batch once at most this share is live
+# Peak traced bytes of a solve beyond its field, in float64 arrays of one work
+# unit (working_set_bytes): the front index, the per-front gathers, updates
+# and certificate, and the slab-wise rhs and error. tracemalloc measured at
+# most 47 on cases f1-f3 with the u-scale error, n = 2..6, either storage
+# (34-42 at n = 3, 4 once a slab is one row).
+WORK_ARRAYS = 56
 
 
 class SchemeDomainError(ValueError):
@@ -172,19 +183,26 @@ def _scaled_rhs(kind, f, h, n):
     return f if kind is SchemeKind.S3 else _pow_int(h, n) * f
 
 
-def _residual(kind, t, A, C, b, n):
+def _residual(kind, t, A, C, b, n, clip=True):
     """(product, target) of the node equation of the module docstring at t,
     with b in place of h^n f (S1, S2) or f (S3). The root finder and the
-    certificate both evaluate the equation here, so they agree bit for bit."""
+    certificate both evaluate the equation here, so they agree bit for bit.
+    clip=False leaves out the (.)_+ of the S1/S2 factors t - a_i, which is
+    exact where t >= every a_i, as everywhere inside the bisection bracket."""
     prod = None
-    if kind is SchemeKind.S3:
-        for a, c in zip(A, C):
-            fac = np.maximum((1.0 + c) * t - c * a, 0.0)
-            prod = fac if prod is None else prod * fac
-        return prod, b
-    for a in A:
-        fac = np.maximum(t - a, 0.0)
-        prod = fac if prod is None else prod * fac
+    for j, a in enumerate(A):
+        if kind is SchemeKind.S3:
+            fac = (1.0 + C[j]) * t
+            fac -= C[j] * a
+            np.maximum(fac, 0.0, out=fac)
+        else:
+            fac = t - a
+            if clip:
+                np.maximum(fac, 0.0, out=fac)
+        if prod is None:
+            prod = fac
+        else:
+            prod *= fac
     if kind is SchemeKind.S2:
         den = t
         for _ in range(n - 2):
@@ -206,43 +224,68 @@ def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
     """Bisect the batch nodes `act` into the band [target, (1+h)*target] of
     their residual and write the roots into t[act].
 
-    A, C, b, lo and hi hold the values of the nodes in `act`, and shrink with
-    it as nodes finish. Preconditions: product < target at lo and
-    product >= target at hi. The upper endpoint is accepted outright when it
+    A, C, b, lo and hi hold the values of the nodes in `act`; lo and hi are
+    overwritten. Preconditions: product < target at lo, product >= target at
+    hi, and 0 <= lo <= hi; for S1/S2 also lo >= every a_i, so their residual
+    is taken unclipped. The upper endpoint is accepted outright when it
     already lies in the band. A node whose interval collapses to float
     resolution takes its upper endpoint, whose product is >= target.
+
+    Every node sees the midpoints of plain bisection, however it is batched.
+    The bookkeeping is lazy: a finished node stays in the arrays, masked out
+    of `live`, until at most _COMPACT of the rows are live, and then every
+    array is gathered at once. The bracket moves without selects, with
+    high = product > upper and low = ~high (so a nan product moves lo):
+    lo = max(lo, mid * low) and hi = fmin(hi, mid / high). Both are exact
+    because 0 <= lo <= mid <= hi, so max(lo, 0) = lo and min(hi, mid) = mid,
+    and because mid / 0 is +inf (nan where mid = 0), which fmin skips.
     """
     stats.nodes += act.size
-    prod, target = _residual(kind, hi, A, C, b, n)
-    done = prod <= (1.0 + h) * target
+    upper = None if kind is SchemeKind.S2 else (1.0 + h) * b  # target is b
+    prod, target = _residual(kind, hi, A, C, b, n, clip=False)
+    done = prod <= (1.0 + h) * target if upper is None else prod <= upper
     t[act[done]] = hi[done]
-    keep = np.nonzero(~done)[0]
+    live = ~done
+    count = act.size - int(np.count_nonzero(done))
     it = 0
-    while keep.size:
-        if keep.size < act.size:
+    while count:
+        if count <= _COMPACT * act.size:
+            keep = np.nonzero(live)[0]
             act, b, lo, hi = act[keep], b[keep], lo[keep], hi[keep]
             A = [a[keep] for a in A]
             if C is not None:
                 C = [c[keep] for c in C]
+            if upper is not None:
+                upper = upper[keep]
+            live = np.ones(count, dtype=bool)
         it += 1
         if it > BISECTION_CAP:
             raise BisectionCapError(
                 f"bisection exceeded {BISECTION_CAP} iterations for "
-                f"{act.size} node(s)", local_indices=act)
-        mid = 0.5 * (lo + hi)
-        prod, target = _residual(kind, mid, A, C, b, n)
-        upper = (1.0 + h) * target
-        ok = (prod >= target) & (prod <= upper)
-        take = ok | (mid <= lo) | (mid >= hi)
+                f"{count} node(s)", local_indices=act[live])
+        mid = lo + hi
+        mid *= 0.5
+        prod, target = _residual(kind, mid, A, C, b, n, clip=False)
+        up = (1.0 + h) * target if upper is None else upper
+        high = prod > up
+        low = ~high
+        ok = prod >= target
+        ok &= low
+        take = mid <= lo
+        take |= mid >= hi
+        take |= ok
+        take &= live
         if take.any():
             sel = np.nonzero(take)[0]
             t[act[sel]] = np.where(ok[sel], mid[sel], hi[sel])
             stats.iters_total += it * sel.size
             stats.iters_max = max(stats.iters_max, it)
-            keep = np.nonzero(~take)[0]
-        high = prod > upper
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
+            live[sel] = False
+            count -= sel.size
+        # prod is spent: it holds mid * low, then mid / high
+        np.maximum(lo, np.multiply(mid, low, out=prod), out=lo)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.fmin(hi, np.divide(mid, high, out=prod), out=hi)
 
 
 def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
@@ -352,11 +395,16 @@ def _check_rhs_spec(f, spec: GridSpec) -> None:
         raise ValueError(f"rhs field spec {f.spec} != solve spec {spec}")
 
 
+def _slab_rows(spec: GridSpec) -> int:
+    """i_1-rows per slab: about _SLAB_NODES nodes, at least one row."""
+    return min(spec.m + 1, max(1, _SLAB_NODES // (spec.m + 1) ** (spec.n - 1)))
+
+
 def _slabs(spec: GridSpec):
-    """Yield (i0, i1, x): the i_1-rows [i0, i1), about _SLAB_NODES nodes and
-    at least one row, and their sparse-mesh coordinates, in row order."""
+    """Yield (i0, i1, x): the i_1-rows [i0, i1) of one slab (_slab_rows) and
+    their sparse-mesh coordinates, in row order."""
     R = spec.m + 1
-    rows = max(1, _SLAB_NODES // R ** (spec.n - 1))
+    rows = _slab_rows(spec)
     mesh = spec.mesh()
     for i0 in range(0, R, rows):
         i1 = min(i0 + rows, R)
@@ -666,3 +714,12 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
                        bisect_nodes=stats.nodes, bisect_iters_max=stats.iters_max,
                        bisect_iters_mean=mean, wall_time=wall,
                        linf_error=linf, final_slab=out if rolling else None)
+
+
+def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
+    """Bytes a solve holds at its peak: the field with full storage, plus
+    WORK_ARRAYS float64 arrays the size of its work unit, one front of
+    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger."""
+    front = (spec.m + 1) ** (spec.n - 1)
+    field = spec.num_nodes * 8 if storage == "full" else 0
+    return field + WORK_ARRAYS * _slab_rows(spec) * front * 8

@@ -111,6 +111,105 @@ def oracle_solve(spec, kind, f, force_bisection=False) -> np.ndarray:
     return W
 
 
+def _vector_root(x, n):
+    """x ** (1/n) rounded as NumPy's vectorized power rounds it, which can
+    differ from Python's ** in the last bit."""
+    return float(np.power(np.array([x]), 1.0 / n)[0])
+
+
+def band_update_scalar(kind, a, c, f, h, n, limit=10_000):
+    """Pure-Python reference for one node of the band bisection
+    (schemes._update_vec and _band_root), one float at a time.
+
+    Returns (t, iters): iters is None when the node is not bisected (f = 0,
+    or S2 with all a_i = 0, whose root is b), 0 when the upper bracket is
+    already in the band, and otherwise the bisection at which the node
+    finished. The rules: bracket [lo, hi] with lo the largest zero of the
+    factors; accept hi first; stop at the first midpoint whose product lies
+    in [target, (1+h)*target]; on a collapsed interval (the midpoint rounds
+    onto an endpoint) take hi; move hi down where the product is above the
+    band and lo up otherwise. No iteration cap applies.
+    """
+    kind = SchemeKind.parse(kind)
+    s3 = kind is SchemeKind.S3
+    if s3:
+        b = f
+        lo = max(cj * aj / (1.0 + cj) for aj, cj in zip(a, c))
+    else:
+        b = h
+        for _ in range(n - 1):
+            b = b * h
+        b = b * f
+        lo = max(a)
+    if not b > 0.0:
+        return lo, None
+    if kind is SchemeKind.S2 and lo <= 0.0:
+        return b, None
+    if kind is SchemeKind.S1:
+        hi = lo + h * _vector_root(f, n)
+    elif kind is SchemeKind.S2:
+        hi = a[0]
+        for aj in a[1:]:
+            hi = hi + aj
+        hi = hi + b
+    else:
+        q = 1.0
+        for cj in c:
+            q = q * (1.0 + cj)
+        hi = lo + _vector_root(f / q, n)
+
+    def residual(t):
+        prod = None
+        for j, aj in enumerate(a):
+            fac = max((1.0 + c[j]) * t - c[j] * aj if s3 else t - aj, 0.0)
+            prod = fac if prod is None else prod * fac
+        if kind is SchemeKind.S2:
+            den = t
+            for _ in range(n - 2):
+                den = den * t
+            return prod, b * den
+        return prod, b
+
+    prod, target = residual(hi)
+    if prod <= (1.0 + h) * target:
+        return hi, 0
+    for it in range(1, limit + 1):
+        mid = 0.5 * (lo + hi)
+        prod, target = residual(mid)
+        upper = (1.0 + h) * target
+        ok = target <= prod <= upper
+        if ok or mid <= lo or mid >= hi:
+            return (mid if ok else hi), it
+        if prod > upper:
+            hi = mid
+        else:
+            lo = mid
+    raise RuntimeError(f"no band root within {limit} bisections")
+
+
+def oracle_band_solve(spec, kind, f):
+    """Scalar reference solve through band_update_scalar at every node, in
+    lexicographic order, with the engine's S3 weights c_i = n*i_i. Returns
+    the field and the engine's bisection counters: nodes bisected, largest
+    and mean bisection count."""
+    kind = SchemeKind.parse(kind)
+    n = spec.n
+    F = rhs_values(spec, f)
+    W = np.zeros(spec.shape)
+    iters = []
+    for mi in np.ndindex(spec.shape):
+        if kind.has_boundary_condition and min(mi) == 0:
+            continue
+        a = tuple(float(W[mi[:ax] + (mi[ax] - 1,) + mi[ax + 1:]])
+                  if mi[ax] >= 1 else 0.0 for ax in range(n))
+        c = [float(n * i) for i in mi]
+        W[mi], it = band_update_scalar(kind, a, c, float(F[mi]), spec.h, n)
+        if it is not None:
+            iters.append(it)
+    mean = sum(iters) / len(iters) if iters else 0.0
+    return W, len(iters), max(iters, default=0), mean
+
+
 def residual_stats_whole_field(field: GridField, kind, f) -> float:
     """Reference for schemes.residual_stats: the same band violation,
     evaluated on whole-grid arrays at once (rhs, shifted neighbors and

@@ -9,6 +9,7 @@ import pytest
 
 from hjsolve.cli import main
 from hjsolve.grid import GridField, GridSpec
+from hjsolve.schemes import working_set_bytes
 
 
 def run_cli(*argv):
@@ -231,30 +232,36 @@ def test_pareto_guard_does_not_suggest_rolling(tmp_path, capsys):
 
 
 def test_pareto_guard_charges_the_u_transform(tmp_path, capsys):
-    # n=2, m=8: a 648-byte field; pareto holds it and its u-scale temporary,
-    # so a 1000-byte cap refuses pareto but still lets solve run
+    # n=2, m=8: a 648-byte field; pareto holds a full solve's working set and
+    # the u-scale temporary, so a cap 352 bytes above the solve's charge
+    # refuses pareto but still lets solve run
+    work = working_set_bytes(GridSpec(2, 8))
+    cap = str(work + 352)
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("0.1,0.2\n0.5,0.4\n")
     rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
-                 "--case", "const:1", "--mem-cap", "1000", "--out", str(tmp_path))
+                 "--case", "const:1", "--mem-cap", cap, "--out", str(tmp_path))
     assert rc == 2
-    assert "needs 1296 bytes" in capsys.readouterr().err
+    assert f"needs {work + 648} bytes" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
     rc = run_cli("solve", "--scheme", "s2", "--case", "const:1", "--n", "2",
-                 "--m", "8", "--mem-cap", "1000", "--out", str(tmp_path / "s"))
+                 "--m", "8", "--mem-cap", cap, "--out", str(tmp_path / "s"))
     assert rc == 0
 
 
 @pytest.mark.parametrize("command,storage,cap", [
-    ("solve", "full", 1000),    # 1x field before, 2x with the rhs file
-    ("solve", "rolling", 600),  # unguarded before, 1x with the rhs file
-    ("pareto", None, 1500),     # 2x field before, 3x with the rhs file
+    ("solve", "full", 1000),    # 1x field with --case, 2x with the rhs file
+    ("solve", "rolling", 600),  # no field with --case, 1x with the rhs file
+    ("pareto", None, 1500),     # 2x field with --case, 3x with the rhs file
 ])
 def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
                                           command, storage, cap):
-    # n=2, m=8: a 648-byte field. A cap between the old and the new charge
-    # refuses --field-file before the file is read and still passes --case.
+    # n=2, m=8: a 648-byte field. Every charge also holds the solve's work
+    # arrays, so the cap counts on top of them. It lies between the --case
+    # and the --field-file charge: it refuses --field-file before the file is
+    # read and still passes --case.
     spec = GridSpec(2, 8)
+    cap += working_set_bytes(spec, "rolling")
     rhs = tmp_path / "rhs.bin"
     GridField(spec, np.ones(spec.shape)).save_binary(rhs)
     cloud = tmp_path / "cloud.csv"
@@ -278,6 +285,18 @@ def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
     assert run_cli(*argv, "--case", "const:1", "--out", str(tmp_path / "b")) == 0
     assert run_cli(*argv, "--field-file", str(rhs), "--mem-cap", str(cap + 648),
                    "--out", str(tmp_path / "c")) == 0
+
+
+def test_guard_charges_a_rolling_solve_its_work_arrays(tmp_path, capsys):
+    # rolling storage holds no field, but its front arrays still count
+    argv = ["solve", "--scheme", "s1", "--case", "f1", "--n", "3", "--m", "40",
+            "--storage", "rolling", "--out", str(tmp_path)]
+    work = working_set_bytes(GridSpec(3, 40), "rolling")
+    assert run_cli(*argv, "--mem-cap", str(work - 1)) == 2
+    err = capsys.readouterr().err
+    assert f"needs {work} bytes" in err and "--storage" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert run_cli(*argv, "--mem-cap", str(work)) == 0
 
 
 def test_pareto_outside_points_rejected_before_solve(tmp_path, capsys, monkeypatch):

@@ -59,6 +59,20 @@ def test_observed_order_rejects_nonpositive():
         observed_order(1e-2, -1e-3, 0.1, 0.05)
 
 
+def test_default_byte_cap_is_physical_memory(monkeypatch):
+    pages = {"SC_PHYS_PAGES": 1 << 20, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(convergence.os, "sysconf", pages.__getitem__)
+    assert convergence._physical_memory() == 4 << 30
+
+    def unknown(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(convergence.os, "sysconf", unknown)
+    assert convergence._physical_memory() == 8 << 30
+    monkeypatch.setattr(convergence.os, "sysconf", lambda name: -1)
+    assert convergence._physical_memory() == 8 << 30
+
+
 def test_default_sequences():
     assert default_mesh_sequence(2) == [40, 160, 640, 2560, 10240, 40960]
     assert default_mesh_sequence(3, max_k=3) == [20, 40, 80, 160]

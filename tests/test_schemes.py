@@ -5,12 +5,15 @@ same checks at the full 10^4 sample count)."""
 import numpy as np
 import pytest
 
-from hjsolve.schemes import (SchemeDomainError, UpdateInputs, s1_update,
-                             s2_update, s3_update)
+from hjsolve import schemes
+from hjsolve.schemes import (BisectionCapError, SchemeDomainError, SchemeKind,
+                             UpdateInputs, _BisectStats, _update_vec,
+                             s1_update, s2_update, s3_update)
 
-from props import (check_closed_vs_bisection, check_lower_bound,
-                   check_monotonicity, check_s2_sum_bound, make_inp,
-                   oracle_s1, oracle_s2, oracle_s3, random_update_inputs)
+from props import (band_update_scalar, check_closed_vs_bisection,
+                   check_lower_bound, check_monotonicity, check_s2_sum_bound,
+                   make_inp, oracle_s1, oracle_s2, oracle_s3,
+                   random_update_inputs)
 
 N_SMOKE = 2_000
 
@@ -138,6 +141,64 @@ def test_bisect_s3_zero_coordinate_degenerates():
     t = s3_update(make_inp(n, h, f, a, x=x), method="bisect")
     exact = oracle_s3(x, a, h, f)
     assert exact - 1e-12 <= t <= exact * (1.0 + h) + 1e-12
+
+
+def _mixed_batch(kind, n, h):
+    """Update inputs (a, c, f) mixing random nodes, which finish at many
+    different bisections, with f = 0 nodes, the S2 corner (all a_i = 0) and
+    one node whose bracket is two adjacent floats around 1.0, so its first
+    midpoint rounds onto lo and it takes hi."""
+    rng = np.random.default_rng(11)
+    rows = []
+    for k in range(60):
+        a = rng.uniform(0.0, 2.0, size=n)
+        a[rng.random(n) < 0.15] = 0.0
+        c = n * rng.integers(0, 12, size=n).astype(float)
+        f = 0.0 if k % 9 == 0 else float(10.0 ** rng.uniform(-4.0, 1.0))
+        rows.append((tuple(a), tuple(c), f))
+    rows.append(((0.0,) * n, (n * 3.0,) * n, 0.5))
+    ulp = 1.3e-16  # above half an ulp of 1.0, so lo + ulp rounds to nextafter
+    if kind is SchemeKind.S1:
+        rows.append(((1.0,) * n, (0.0,) * n, (ulp / h) ** n))
+    elif kind is SchemeKind.S2:
+        rows.append(((1.0,) + (0.0,) * (n - 1), (0.0,) * n, ulp / h ** n))
+    else:
+        rows.append(((2.0,) * n, (1.0,) * n, (2.0 * ulp) ** n))
+    return rows
+
+
+@pytest.mark.parametrize("kind", list(SchemeKind))
+@pytest.mark.parametrize("n", [3, 4])
+def test_update_vec_matches_scalar_band_bisection(kind, n):
+    h = 1.0 / 16
+    rows = _mixed_batch(kind, n, h)
+    ref = [band_update_scalar(kind, a, c, f, h, n) for a, c, f in rows]
+    iters = [it for _, it in ref if it is not None]
+    assert len(set(iters)) >= 5
+    assert any(it is None for _, it in ref)
+    t_collapse, it_collapse = ref[-1]
+    assert it_collapse == 1 and t_collapse == np.nextafter(1.0, 2.0)
+    if kind is SchemeKind.S2:
+        assert ref[-2] == (0.5 * h ** n, None)
+
+    A = [np.array([a[j] for a, _, _ in rows]) for j in range(n)]
+    C = ([np.array([c[j] for _, c, _ in rows]) for j in range(n)]
+         if kind is SchemeKind.S3 else None)
+    f = np.array([f for _, _, f in rows])
+    stats = _BisectStats()
+    t = _update_vec(kind, A, C, f, h, n, stats)
+    assert np.array_equal(t, [t for t, _ in ref])
+    assert (stats.nodes, stats.iters_total, stats.iters_max) == (
+        len(iters), sum(iters), max(iters))
+
+    # the cap names the batch indices still bisecting, in batch order
+    cap = sorted(iters)[len(iters) // 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schemes, "BISECTION_CAP", cap)
+        with pytest.raises(BisectionCapError) as err:
+            _update_vec(kind, A, C, f, h, n, _BisectStats())
+    assert err.value.local_indices.tolist() == [
+        i for i, (_, it) in enumerate(ref) if it is not None and it > cap]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,13 @@ import pytest
 from hjsolve import schemes
 from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import (BisectionCapError, SchemeKind, SolveError,
-                             residual_stats, solve)
+from hjsolve.schemes import (WORK_ARRAYS, BisectionCapError, SchemeKind,
+                             SolveError, residual_stats, solve,
+                             working_set_bytes)
 from hjsolve.testcases import make_case
 
-from props import (node_update, oracle_solve, residual_stats_whole_field,
-                   rhs_values)
+from props import (node_update, oracle_band_solve, oracle_solve,
+                   residual_stats_whole_field, rhs_values)
 
 BAND_EPS = 1e-12
 
@@ -41,6 +42,24 @@ def test_engine_equals_oracle_bitwise(n, m, kind, case_name, force):
     rep = solve(spec, kind, case.f, force_bisection=force)
     ref = oracle_solve(spec, kind, case.f, force_bisection=force)
     assert np.array_equal(rep.field.values, ref)
+
+
+@pytest.mark.parametrize("case_name", ["f2", "f3"])
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("n,m", [(3, 10), (4, 5)])
+def test_engine_equals_scalar_band_bisection(n, m, kind, case_name):
+    # the pure-Python band bisection shares no code with the batch kernel:
+    # fields and bisection counters must match it bit for bit
+    case = make_case(case_name, n)
+    spec = GridSpec(n, m)
+    W, nodes, most, mean = oracle_band_solve(spec, kind, case.f)
+    assert nodes > 0
+    for storage, want in (("full", W), ("rolling", W[-1].reshape(-1))):
+        rep = solve(spec, kind, case.f, storage=storage)
+        got = rep.final_slab if rep.field is None else rep.field.values
+        assert np.array_equal(got, want)
+        assert (rep.bisect_nodes, rep.bisect_iters_max,
+                rep.bisect_iters_mean) == (nodes, most, mean)
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
@@ -443,6 +462,33 @@ def test_full_solve_memory_with_u_scale_error(n, m, ratio, kind):
         tracemalloc.stop()
     assert rep.linf_error > 0.0
     assert peak <= ratio * spec.num_nodes * 8
+
+
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("n,m", [(2, 8), (2, 300), (3, 8), (3, 40), (4, 24),
+                                 (5, 8)])
+def test_working_set_bytes_bounds_the_traced_peak(n, m, storage):
+    # the CLI memory guard charges working_set_bytes; every scheme and case,
+    # with the u-scale error folded in, must stay under it
+    spec = GridSpec(n, m)
+    field = spec.num_nodes * 8 if storage == "full" else 0
+    worst = 0
+    for kind in SchemeKind:
+        for case_name in ("f1", "f2", "f3"):
+            case = make_case(case_name, n)
+            tracemalloc.start()
+            try:
+                solve(spec, kind, case.f, storage=storage,
+                      error_fn=u_scale_error_fn(kind, case))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            worst = max(worst, peak)
+    charge = working_set_bytes(spec, storage)
+    assert worst <= charge
+    if (n, m) == (4, 24):  # one slab is one front: WORK_ARRAYS is not loose
+        assert worst - field >= 0.6 * (charge - field)
+        assert charge - field == WORK_ARRAYS * 25 ** 3 * 8
 
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
