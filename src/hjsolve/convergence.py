@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridField, GridSpec
-from .schemes import SchemeKind, solve
+from .schemes import SchemeKind, solve, working_set_bytes
 from .testcases import TestCase, to_u
 
 _SEQUENCES = {2: (40, 4), 3: (20, 2), 4: (4, 2)}
@@ -97,9 +97,11 @@ def u_field(spec: GridSpec, kind, f) -> GridField:
 def _solve_row(case: TestCase, kind: SchemeKind, m: int, byte_cap: int) -> float:
     """u-scale sup error of one row solve; the field is dropped at once.
     Rows run in order, one field at a time, so a row uses full storage
-    when its own field fits under byte_cap and streams otherwise."""
+    when its full working set (working_set_bytes: the field and the work
+    arrays, as the CLI guard charges a solve) fits under byte_cap and
+    streams otherwise."""
     spec = GridSpec(case.n, m)
-    storage = "full" if spec.num_nodes * 8 <= byte_cap else "rolling"
+    storage = "full" if working_set_bytes(spec, "full") <= byte_cap else "rolling"
     return solve(spec, kind, case.f, storage=storage,
                  error_fn=u_scale_error_fn(kind, case)).linf_error
 

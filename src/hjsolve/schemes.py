@@ -24,8 +24,14 @@ digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. Each
 front is checked for a finite nonnegative right-hand side, folded into the
 residual certificate, and scattered into the full field or, with rolling
-storage, only into the final i_1 = m slab. A node whose value, product or
-target is not finite stops the solve with a SolveError naming it.
+storage, only into the final i_1 = m slab. _Fronts owns the layout: at
+n >= 3 a front is a set of index arrays into the field; at n = 2 it is one
+strided slice of the flat field (nodes i*m + d), and its neighbors and
+coordinates are contiguous slices, so no index array is built. The
+certificate is a max-reduction (_max_violation), which falls back to the
+per-node _violation only where a target is <= 0 or the result is not
+finite. A node whose value, product or target is not finite stops the solve
+with a SolveError naming it.
 
 Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
@@ -44,6 +50,7 @@ import enum
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -421,15 +428,15 @@ def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
 
 def _front_rhs(f, spec: GridSpec):
     """f on one front, as a function of the node coordinates x (a tuple of
-    1-d arrays), the head rows and the last indices of the nodes."""
+    1-d arrays), the nodes' positions in the flat field and their count."""
     if isinstance(f, GridField):
-        F = f.values.reshape(-1, spec.m + 1)
-        return lambda x, rows, last: F[rows, last]
+        F = f.values.reshape(-1)
+        return lambda x, flat, size: F[flat]
     fn = _as_rhs(f)
 
-    def rhs(x, rows, last):
+    def rhs(x, flat, size):
         fd = np.asarray(fn(x), dtype=np.float64)
-        return fd if fd.shape == last.shape else np.broadcast_to(fd, last.shape)
+        return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
     return rhs
 
 
@@ -440,15 +447,34 @@ def _front_rhs(f, spec: GridSpec):
 def _violation(product, target, band):
     """Per node, how far the residual product falls outside
     [target, (1+band)*target], relative to target; absolute where
-    target == 0; infinite where the product or target is not finite. The
-    engine runs it once per front, residual_stats once over a whole field,
-    with the same arithmetic staging."""
+    target == 0; infinite where the product or target is not finite. It
+    names the offending node; _max_violation reduces it."""
     out = np.where(target > 0.0,
                    np.maximum(np.maximum(target - product,
                                          product - (1.0 + band) * target), 0.0)
                    / np.where(target > 0.0, target, 1.0),
                    product)
     return np.where(np.isfinite(product) & np.isfinite(target), out, math.inf)
+
+
+def _max_violation(product, target, band) -> float:
+    """_violation(product, target, band).max(initial=0.0), bit for bit.
+
+    Where every target is > 0 this is the max over nodes of
+    max(target - product, product - (1+band)*target) / target, clipped at
+    0.0, with a few temporaries: max(a, 0)/t == max(a/t, 0) for t > 0, and
+    0.0 goes first into the clip so that a -0.0 never leaks. Otherwise (a
+    target <= 0, or a result that is not finite: nan fails < inf) it falls
+    back to _violation itself. The engine runs it once per front,
+    residual_stats once per slab part."""
+    if product.size and np.minimum.reduce(target, axis=None) > 0.0:
+        a = target - product
+        np.maximum(a, product - (1.0 + band) * target, out=a)
+        a /= target
+        worst = float(np.maximum.reduce(a, axis=None))
+        if worst < math.inf:
+            return max(0.0, worst)
+    return float(_violation(product, target, band).max(initial=0.0))
 
 
 def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
@@ -470,7 +496,8 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
         F = _slab_rhs(f, spec, i0, i1, x)
         S = V[i0:i1]
         if kind.has_boundary_condition:
-            parts = [_violation(np.abs(V[0]), 0.0, h)] if i0 == 0 else []
+            # (product, target) pairs; boundary nodes must hold exactly zero
+            parts = [(np.abs(V[0]), 0.0)] if i0 == 0 else []
             lo = max(i0, 1)  # interior rows of the slab
             inner = (slice(lo - i0, None),) + (slice(1, None),) * (n - 1)
             A = [V[lo - 1:i1 - 1][(slice(None),) + inner[1:]]]
@@ -479,12 +506,11 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
                 sl[ax] = slice(None, -1)
                 A.append(S[tuple(sl)])
             b = _scaled_rhs(kind, F[inner], h, n)
-            parts.append(_violation(*_residual(kind, S[inner], A, None, b, n), h))
-            # boundary nodes must hold exactly zero
+            parts.append(_residual(kind, S[inner], A, None, b, n))
             for ax in range(1, n):
                 sl = [slice(None)] * n
                 sl[ax] = 0
-                parts.append(_violation(np.abs(S[tuple(sl)]), 0.0, h))
+                parts.append((np.abs(S[tuple(sl)]), 0.0))
         else:
             a = np.empty_like(S)
             a[0] = V[i0 - 1] if i0 else 0.0
@@ -502,8 +528,8 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
                 sl_from[ax] = slice(None, -1)
                 a[tuple(sl_to)] = S[tuple(sl_from)]
                 A.append(a)
-            parts = [_violation(*_residual(kind, S, A, C, F, n), h)]
-        worst = max(worst, *(float(p.max(initial=0.0)) for p in parts))
+            parts = [_residual(kind, S, A, C, F, n)]
+        worst = max(worst, *(_max_violation(p, t, h) for p, t in parts))
     return worst
 
 
@@ -545,6 +571,19 @@ class SolveReport:
 # Front-streaming engine
 # ---------------------------------------------------------------------------
 
+class _Front(NamedTuple):
+    """Front d of _Fronts.front: index arrays at n >= 3, slices at n = 2."""
+
+    lo: int  # head positions [lo, hi)
+    hi: int
+    flat: object  # the nodes' positions in the flat field
+    heads: list  # per head axis, the nodes' indices into an axis table
+    tail: object  # the nodes' indices into the reversed last-axis table
+    inner: object  # the S1/S2 update batch: inner nodes, within the front
+    dest: object  # where vals[src] lands in the engine's output
+    src: object
+
+
 class _Fronts:
     """Heads (i_1, ..., i_{n-1}) sorted by digit sum, stably, so each front
     of equal node digit-sum d is one contiguous run of head positions.
@@ -555,10 +594,17 @@ class _Fronts:
     on front d-1. Where i_j = 0 (or the last index is 0) that position holds
     some finite value of the wrong node: S1/S2 gather inner nodes only, and
     S3 weights it by c_j = n*i_j = 0, so it drops out exactly.
+
+    At n = 2 the head is i_1 itself, so front d is the nodes i*m + d of the
+    flat field for i in [lo, hi), and front() hands out slices: one strided
+    slice of the field, contiguous slices of the axis tables and of the
+    previous front, and one contiguous range of inner nodes. The previous
+    front is kept behind one fixed 0 (neighbors), which i_1 = 0 reads.
     """
 
-    def __init__(self, spec: GridSpec):
+    def __init__(self, spec: GridSpec, rolling: bool = False):
         n, m = self.n, self.m = spec.n, spec.m
+        self.rolling = rolling
         R = m + 1
         digits = np.indices((R,) * (n - 1)).reshape(n - 1, -1)
         total = digits.sum(axis=0)
@@ -585,6 +631,50 @@ class _Fronts:
         """Multi-index of the node at head position p on front d."""
         return tuple(int(i[p]) for i in self.idx) + (d - int(self.sum[p]),)
 
+    def front(self, d: int) -> _Front:
+        """Front d. Its output goes to the flat field, or with rolling to
+        the final i_1 = m slab (dest, for the front's nodes src)."""
+        m = self.m
+        if self.n == 2:  # heads i in [lo, hi), last index d - i
+            lo, hi = max(0, d - m), min(d, m) + 1
+            flat = slice(lo * m + d, (hi - 1) * m + d + 1, m)
+            heads = [slice(lo, hi)]
+            tail = slice(m - d + lo, m - d + hi)
+            inner = slice(max(lo, 1) - lo, min(hi, d) - lo)  # i, d - i >= 1
+            if not self.rolling:
+                return _Front(lo, hi, flat, heads, tail, inner, flat, slice(None))
+            k = int(hi == m + 1)  # the last head, i_1 = m, if on the front
+            return _Front(lo, hi, flat, heads, tail, inner,
+                          slice(d - m, d - m + k), slice(hi - lo - k, hi - lo))
+        lo, hi = self.span(d)
+        s = self.sum[lo:hi]
+        flat = self.row[lo:hi] * (m + 1) + (d - s)
+        heads = [i[lo:hi] for i in self.idx]
+        tail = m - d + s
+        inner = np.nonzero(self.inner[lo:hi] & (s < d))[0]
+        if not self.rolling:
+            return _Front(lo, hi, flat, heads, tail, inner, flat, slice(None))
+        offset = m * (m + 1) ** (self.n - 1)
+        keep = flat >= offset
+        return _Front(lo, hi, flat, heads, tail, inner, flat[keep] - offset, keep)
+
+    def neighbors(self, prev, lo, hi, sel):
+        """The n backward neighbors, in axis order, of the nodes sel of the
+        front whose heads are [lo, hi). prev holds front d-1 by head
+        position behind one fixed 0: head p at prev[p + 1]."""
+        cur = prev[1 + lo:1 + hi]
+        if self.n == 2:  # prev[p] is head p-1, or the fixed 0 for p = 0
+            return [prev[lo:hi][sel], cur[sel]]
+        return [prev[1:][b[lo:hi][sel]] for b in self.back] + [cur[sel]]
+
+
+def _axis_tables(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A table over one axis's indices and its reversed copy, both
+    read-only, since the n = 2 front views of them go to f and error_fn."""
+    rev = table[::-1].copy()
+    table.flags.writeable = rev.flags.writeable = False
+    return table, rev
+
 
 def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
@@ -594,14 +684,13 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     n, m, h = spec.n, spec.m, spec.h
     R = m + 1
     _check_rhs_spec(f, spec)
-    fronts = _Fronts(spec)
-    xs = spec.axis_coords()
+    fronts = _Fronts(spec, rolling)
+    xs, xs_rev = _axis_tables(spec.axis_coords())
+    cw, cw_rev = _axis_tables(n * np.arange(R, dtype=np.float64))  # S3 c_i
     closed = n == 2 and not force_bisection
-    heads = R ** (n - 1)
-    prev = np.zeros(heads)  # front d-1, by head position
-    # scatter target: the flat field, or its last `heads` entries (i_1 = m)
-    offset = m * heads if rolling else 0
-    out = np.zeros(R * heads - offset)
+    nheads = R ** (n - 1)
+    prev = np.zeros(1 + nheads)  # a fixed 0, then front d-1 by head position
+    out = np.zeros(nheads if rolling else R * nheads)
     if rolling:
         rhs = _front_rhs(f, spec)
     else:
@@ -615,35 +704,32 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     linf = 0.0
 
     for d in range(n * m + 1):
-        lo, hi = fronts.span(d)
-        hidx = [i[lo:hi] for i in fronts.idx]
-        last = d - fronts.sum[lo:hi]
-        rows = fronts.row[lo:hi]
-        flat = rows * R + last - offset
-        x = tuple(xs[i] for i in hidx) + (xs[last],) if gather else None
-        fd = rhs(x, rows, last) if rolling else out[flat]
-        ok = np.isfinite(fd) & (fd >= 0.0)
-        if not ok.all():
-            k = int(np.argmin(ok))
+        fr = fronts.front(d)
+        lo, hi = fr.lo, fr.hi
+        x = (tuple(xs[i] for i in fr.heads) + (xs_rev[fr.tail],)
+             if gather else None)
+        # one contiguous copy of the front's rhs (a strided view at n = 2)
+        fd = np.ascontiguousarray(rhs(x, fr.flat, hi - lo) if rolling
+                                  else out[fr.flat])
+        if not (np.minimum.reduce(fd, initial=0.0) >= 0.0
+                and np.maximum.reduce(fd, initial=0.0) < math.inf):
+            k = int(np.argmin(np.isfinite(fd) & (fd >= 0.0)))
             node = fronts.node(lo + k, d)
             raise SolveError(f"invalid right-hand side f={fd[k]} at node {node}",
                              multi_index=node)
 
         if kind.has_boundary_condition:
-            sel = np.nonzero(fronts.inner[lo:hi] & (last >= 1))[0]
-            pos = lo + sel
+            sel = fr.inner
             C = None
-            fs = fd[sel]
         else:
-            sel = None
-            pos = slice(lo, hi)
-            C = [(n * i).astype(np.float64) for i in hidx + [last]]
-            fs = fd
-        A = [prev[b[pos]] for b in fronts.back] + [prev[pos]]
+            sel = slice(None)
+            C = [cw[i] for i in fr.heads] + [cw_rev[fr.tail]]
+        fs = fd[sel]
+        A = fronts.neighbors(prev, lo, hi, sel)
 
         def node(k):
             """Multi-index of entry k of the update batch."""
-            return fronts.node(lo + (k if sel is None else int(sel[k])), d)
+            return fronts.node(lo + int(np.arange(hi - lo)[sel][k]), d)
 
         try:
             t = (_closed(kind, A, x, fs, h) if closed
@@ -652,25 +738,23 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
             bad = node(int(exc.local_indices[0]))
             raise SolveError(f"{exc} (first at node {bad})",
                              multi_index=bad) from exc
-        b = _scaled_rhs(kind, fs, h, n)
-        viol = _violation(*_residual(kind, t, A, C, b, n), h)
-        worst = float(viol.max(initial=0.0))
+        residual = _residual(kind, t, A, C, _scaled_rhs(kind, fs, h, n), n)
+        worst = _max_violation(*residual, h)
         if worst == math.inf:
-            bad = node(int(np.argmax(viol)))
+            bad = node(int(np.argmax(_violation(*residual, h))))
             raise SolveError(f"non-finite value, product or target at node {bad}",
                              multi_index=bad)
         cert = max(cert, worst)
-        if sel is None:
-            vals = t
-        else:
+        if kind.has_boundary_condition:
             vals = np.zeros(hi - lo)
             vals[sel] = t
+        else:
+            vals = t
 
         if rolling and error_fn is not None:
             linf = float(np.maximum(linf, np.max(error_fn(vals, x))))
-        prev[lo:hi] = vals
-        keep = flat >= 0
-        out[flat[keep]] = vals[keep]
+        prev[1 + lo:1 + hi] = vals
+        out[fr.dest] = vals[fr.src]
 
     if not rolling and error_fn is not None:
         for i0, i1, x in _slabs(spec):

@@ -15,7 +15,7 @@ from hjsolve.convergence import (ConvergenceRow, StudySpec, default_mesh_sequenc
                                  observed_order, render_csv, render_json,
                                  render_markdown, run_study, u_scale_error_fn)
 from hjsolve.grid import GridSpec
-from hjsolve.schemes import SchemeKind
+from hjsolve.schemes import SchemeKind, working_set_bytes
 from hjsolve.testcases import make_case, to_u
 
 
@@ -127,7 +127,7 @@ def test_run_study_rolling_fallback_matches_full():
 
 def test_run_study_byte_cap_per_row(monkeypatch):
     # rows run in order, one field at a time: a row runs full exactly when
-    # its own field fits under the cap
+    # its full working set (field plus work arrays) fits under the cap
     storages = []
     real_solve = convergence.solve
 
@@ -138,8 +138,11 @@ def test_run_study_byte_cap_per_row(monkeypatch):
     monkeypatch.setattr(convergence, "solve", recording_solve)
     case = make_case("f2", 2)
     ms = (30, 32)
-    cap = (GridSpec(2, 30).num_nodes + GridSpec(2, 32).num_nodes) * 8 // 2
-    assert GridSpec(2, 30).num_nodes * 8 <= cap < GridSpec(2, 32).num_nodes * 8
+    small, large = (working_set_bytes(GridSpec(2, m), "full") for m in ms)
+    cap = (small + large) // 2
+    assert small <= cap < large
+    # both fields alone fit: a field-only rule would run both rows full
+    assert GridSpec(2, 32).num_nodes * 8 < cap
     rows = run_study(StudySpec(case=case, ms=ms, byte_cap=cap))
     assert storages == ["full", "rolling"] * 3
     monkeypatch.setattr(convergence, "solve", real_solve)

@@ -96,29 +96,74 @@ def test_index_roundtrip_million_nodes():
         assert np.ravel_multi_index(mi, spec.shape) == probe
 
 
+def _front_as_arrays(fronts, fr, size):
+    """Every index of a front as an int array, whether _Fronts hands out
+    slices (n = 2) or index arrays (n >= 3)."""
+    R = fronts.m + 1
+    return (np.arange(size)[fr.flat], [np.arange(R)[i] for i in fr.heads],
+            np.arange(R)[fr.tail], np.arange(fr.hi - fr.lo)[fr.inner],
+            np.arange(fr.hi - fr.lo)[fr.src])
+
+
 def test_front_index_partitions_by_digit_sum():
-    for n, m in ((2, 5), (3, 4), (4, 3)):
-        spec = GridSpec(n, m)
-        fronts = _Fronts(spec)
-        heads = [tuple(int(i[p]) for i in fronts.idx)
-                 for p in range(fronts.row.size)]
-        seen = set()
-        for d in range(n * m + 1):
-            lo, hi = fronts.span(d)
-            for p in range(lo, hi):
-                mi = fronts.node(p, d)
-                assert sum(mi) == d and 0 <= mi[-1] <= m and mi not in seen
-                assert np.ravel_multi_index(mi, spec.shape) == \
-                    fronts.row[p] * (m + 1) + mi[-1]
-                seen.add(mi)
-                # backward neighbors along head axes sit on front d-1
-                for j in range(n - 1):
-                    if mi[j] >= 1:
-                        q = fronts.back[j][p]
-                        assert heads[q] == tuple(v - (k == j) for k, v in
-                                                 enumerate(heads[p]))
-                        assert d - 1 - sum(heads[q]) == mi[-1]
-        assert len(seen) == spec.num_nodes
+    for n, m in ((2, 1), (2, 2), (2, 5), (3, 4), (4, 3)):
+        _check_front_index(GridSpec(n, m))
+
+
+def _check_front_index(spec):
+    n, m = spec.n, spec.m
+    R = m + 1
+    fronts = _Fronts(spec)
+    rolled = _Fronts(spec, rolling=True)
+    heads = [tuple(int(i[p]) for i in fronts.idx)
+             for p in range(fronts.row.size)]
+    prev = np.concatenate(([0.0], 1.0 + np.arange(fronts.row.size)))
+    slab = R ** (n - 1)  # nodes in the final i_1 = m slab
+    seen = set()
+    for d in range(n * m + 1):
+        lo, hi = fronts.span(d)
+        fr = fronts.front(d)
+        flat, hidx, tail, inner, _ = _front_as_arrays(fronts, fr, spec.num_nodes)
+        nodes = [fronts.node(p, d) for p in range(lo, hi)]
+        # the generic index arrays, from the sorted heads and digit sums
+        s = fronts.sum[lo:hi]
+        assert np.array_equal(flat, fronts.row[lo:hi] * R + d - s)
+        for j in range(n - 1):
+            assert np.array_equal(hidx[j], fronts.idx[j][lo:hi])
+        assert np.array_equal(tail, m - d + s)
+        assert np.array_equal(inner, np.nonzero(fronts.inner[lo:hi] & (s < d))[0])
+        # against the multi-indices themselves
+        assert list(inner) == [k for k, mi in enumerate(nodes) if min(mi) >= 1]
+        rf = rolled.front(d)
+        _, _, _, _, src = _front_as_arrays(rolled, rf, spec.num_nodes)
+        assert list(src) == [k for k, mi in enumerate(nodes) if mi[0] == m]
+        assert list(np.arange(slab)[rf.dest]) == \
+            [int(np.ravel_multi_index(mi, spec.shape)) - m * slab
+             for mi in nodes if mi[0] == m]
+        # backward neighbors: head position q + 1 in prev, 0 off the grid
+        A = fronts.neighbors(prev, lo, hi, fr.inner)
+        for b, k in enumerate(inner):
+            mi = nodes[k]
+            for j in range(n - 1):
+                q = heads.index(tuple(v - (i == j) for i, v in enumerate(mi[:-1])))
+                assert A[j][b] == prev[q + 1]
+            assert A[-1][b] == prev[lo + k + 1]
+        for k, (p, mi) in enumerate(zip(range(lo, hi), nodes)):
+            assert sum(mi) == d and 0 <= mi[-1] <= m and mi not in seen
+            assert np.ravel_multi_index(mi, spec.shape) == flat[k]
+            assert tuple(int(i[k]) for i in hidx) + (m - int(tail[k]),) == mi
+            seen.add(mi)
+            # backward neighbors along head axes sit on front d-1
+            for j in range(n - 1):
+                if mi[j] >= 1:
+                    q = fronts.back[j][p]
+                    assert heads[q] == tuple(v - (i == j) for i, v in
+                                             enumerate(heads[p]))
+                    assert d - 1 - sum(heads[q]) == mi[-1]
+        if n == 2:  # S3 reads all nodes; i_1 = 0 reads the fixed 0
+            A = fronts.neighbors(prev, lo, hi, slice(None))
+            assert np.array_equal(A[0], prev[lo:hi])
+    assert len(seen) == spec.num_nodes
 
 
 @pytest.mark.parametrize("n,m,kind,case_name,force", [

@@ -1,14 +1,16 @@
 """Node updates and the band bisection: worked examples, high-precision oracles,
-and smoke-sized randomized property checks (the acceptance suite reruns the
-same checks at the full 10^4 sample count)."""
+smoke-sized randomized property checks (the acceptance suite reruns the
+same checks at the full 10^4 sample count), and the certificate's
+max-reduction against the per-node violation."""
 
 import numpy as np
 import pytest
 
 from hjsolve import schemes
 from hjsolve.schemes import (BisectionCapError, SchemeDomainError, SchemeKind,
-                             UpdateInputs, _BisectStats, _update_vec,
-                             s1_update, s2_update, s3_update)
+                             UpdateInputs, _BisectStats, _max_violation,
+                             _update_vec, _violation, s1_update, s2_update,
+                             s3_update)
 
 from props import (band_update_scalar, check_closed_vs_bisection,
                    check_lower_bound, check_monotonicity, check_s2_sum_bound,
@@ -237,3 +239,48 @@ def test_updates_match_oracle_within_band(smoke_inputs):
             t = update(make_inp(n, h, f, a, x=x))
             assert t >= exact - 1e-10 * max(1.0, exact)
             assert t <= exact * (1.0 + h) + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Certificate reduction
+# ---------------------------------------------------------------------------
+
+def _reduction_cases():
+    band = 0.125
+    t = np.array([1.0, 2.0, 3.0, 1e-300, 1e300])
+    inside = np.array([1.0, 2.0 * (1.0 + band), 3.1, 1e-300, 1e300])
+    yield "empty", np.empty(0), np.empty(0), band
+    yield "empty-scalar-target", np.empty(0), 0.0, band
+    yield "inside", inside, t, band
+    yield "strictly-inside", t * (1.0 + 0.5 * band), t, band
+    yield "inside-signed-zero-product", np.array([-0.0, 0.0, 1.0]), \
+        np.array([1e-320, 5e-324, 1.0]), band
+    yield "zero-band", np.array([1.0, -0.0]), np.array([1.0, 0.5]), 0.0
+    yield "outside", np.array([0.5, 2.0, 4.0]), np.array([1.0, 2.0, 3.0]), band
+    yield "zero-target", np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0, 1.0]), band
+    yield "signed-zero-target", np.array([0.0, -0.0, 1.0]), \
+        np.array([-0.0, 0.0, 1.0]), band
+    yield "scalar-zero-target", np.array([0.0, 0.25, -0.0]), 0.0, band
+    yield "negative-target", np.array([1.0, 1.0]), np.array([1.0, -2.0]), band
+    for bad in (np.nan, np.inf, -np.inf):
+        yield f"product-{bad}", np.array([1.0, bad, 2.0]), \
+            np.array([1.0, 1.0, 2.0]), band
+        yield f"target-{bad}", np.array([1.0, 1.0, 2.0]), \
+            np.array([1.0, bad, 2.0]), band
+    yield "overflowing-band", np.array([1e308, 1.7e308]), \
+        np.array([1e308, 1.7e308]), 1.0
+    yield "overflowing-ratio", np.array([1e300, 1.0]), \
+        np.array([1e-300, 1.0]), band
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.5, 2.0, 1000)
+    yield "random", t * rng.uniform(0.9, 1.2, 1000), t, band
+
+
+@pytest.mark.parametrize("product,target,band", [c[1:] for c in _reduction_cases()],
+                         ids=[c[0] for c in _reduction_cases()])
+def test_max_violation_equals_violation_max_bitwise(product, target, band):
+    with np.errstate(all="ignore"):
+        want = float(_violation(product, target, band).max(initial=0.0))
+        got = _max_violation(product, target, band)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert np.float64(got).tobytes() != np.float64(-0.0).tobytes()

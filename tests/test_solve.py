@@ -259,7 +259,7 @@ def test_negative_rhs_reports_node():
 @pytest.mark.parametrize("storage", ["full", "rolling"])
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_rhs_reports_node(bad, n, kind, storage):
     spec = GridSpec(n, 8)
     F = np.ones(spec.shape)
@@ -267,6 +267,21 @@ def test_nonfinite_rhs_reports_node(bad, n, kind, storage):
     with pytest.raises(SolveError) as err:
         solve(spec, kind, GridField(spec, F), storage=storage)
     assert err.value.multi_index == (4,) * n
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_engine_equals_oracle_smallest_n2_grids(m, kind):
+    # n = 2 fronts are slices of the field: the one- and two-node fronts,
+    # both storages, a GridField rhs
+    case = make_case("f3", 2)
+    spec = GridSpec(2, m)
+    F = GridField(spec, rhs_values(spec, case.f).copy())
+    ref = oracle_solve(spec, kind, F)
+    full = solve(spec, kind, F)
+    roll = solve(spec, kind, F, storage="rolling")
+    assert np.array_equal(full.field.values, ref)
+    assert np.array_equal(roll.final_slab, ref[-1])
 
 
 def test_nonfinite_callable_rhs_reports_node():
@@ -493,9 +508,11 @@ def test_working_set_bytes_bounds_the_traced_peak(n, m, storage):
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
-@pytest.mark.parametrize("node", [(5, 2), (5, 2, 6)], ids=["n2", "n3"])
+@pytest.mark.parametrize("node", [(5, 2), (5, 2, 6), (0, 3)],
+                         ids=["n2", "n3", "n2-i1-zero"])
 def test_full_storage_callable_rhs_invalid_node(node, kind, bad):
-    # the slab-filled rhs is checked per front and names the node
+    # the slab-filled rhs is checked per front and names the node, also a
+    # boundary node (S3 solves it; S1/S2 check it all the same)
     n = len(node)
     spec = GridSpec(n, 8)
 
