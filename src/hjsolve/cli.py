@@ -166,9 +166,8 @@ def cmd_convergence(args) -> int:
             ms = conv.default_mesh_sequence(args.n, args.max_k)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    schemes = tuple(SchemeKind.parse(s) for s in args.schemes.split(","))
-    study = conv.StudySpec(case=case, schemes=schemes, ms=tuple(ms),
-                           byte_cap=_mem_cap(args))
+    study = conv.StudySpec(case=case, schemes=tuple(args.schemes.split(",")),
+                           ms=tuple(ms), byte_cap=_mem_cap(args))
     if args.emit_levelsets:
         level_spec = GridSpec(args.n, max(ms))
         _guard_memory(level_spec, args)
@@ -191,7 +190,7 @@ def cmd_convergence(args) -> int:
         print(f"wrote {p}", file=sys.stderr)
     if args.emit_levelsets:
         out = _out_dir(args)
-        for kind in schemes:
+        for kind in study.schemes:
             p = out / (f"levelset_{kind.value}_{_safe_label(case.label)}"
                        f"_n{args.n}_m{level_spec.m}.csv")
             conv.u_field(level_spec, kind, case.f).save_csv(p)

@@ -58,9 +58,12 @@ class StudySpec:
             raise ValueError("empty mesh sequence")
         if any(m2 <= m1 for m1, m2 in zip(self.ms, self.ms[1:])):
             raise ValueError(f"mesh sequence must be strictly increasing, got {self.ms}")
-        names = [SchemeKind.parse(k).value for k in self.schemes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate scheme in {','.join(names)}")
+        kinds = tuple(SchemeKind.parse(k) for k in self.schemes)
+        if not kinds:
+            raise ValueError("empty scheme list")
+        if len(set(kinds)) != len(kinds):
+            raise ValueError(f"duplicate scheme in {','.join(k.value for k in kinds)}")
+        object.__setattr__(self, "schemes", kinds)  # frozen: store SchemeKinds
         if self.jobs != 1:
             raise ValueError(f"jobs must be 1 (rows run in order), got {self.jobs}")
 

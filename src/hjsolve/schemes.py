@@ -38,10 +38,14 @@ index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
 sliced on axis 0). With full storage the right-hand side is written into the
 output field slab by slab before the pass, each front reads its rhs from
 there, and the error is folded over the same slabs after the pass; rolling
-storage evaluates both per front instead. residual_stats runs over the same
-slabs. So a callable f and an error_fn must be elementwise on broadcastable
-coordinate arrays: the value at a node may not depend on how nodes are
-batched.
+storage folds the error per front, and at n >= 3 evaluates f per front too.
+At n = 2 a rolling solve evaluates a callable f on row blocks of a band of
+B fronts (_band_rhs): sparse rectangles of at most T rows by T+B-1 columns,
+whose skewed diagonal strips hold the band's nodes, so f's per-axis work
+runs on coordinate vectors, for O(B*(m+1)) extra memory. residual_stats
+runs over the same slabs as full storage. So a callable f and an error_fn
+must be elementwise on broadcastable coordinate arrays: the value at a node
+may not depend on how nodes are batched.
 """
 
 from __future__ import annotations
@@ -53,18 +57,24 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .grid import GridField, GridSpec
 
 BISECTION_CAP = 200
 _SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
 _COMPACT = 0.5  # gather the bisection batch once at most this share is live
+_BAND = 64  # fronts per rhs band of an n = 2 rolling solve (_band_rhs)
+_TILE = 64  # rows per rectangle that fills the band
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
 # unit (working_set_bytes): the front index, the per-front gathers, updates
 # and certificate, and the slab-wise rhs and error. tracemalloc measured at
 # most 47 on cases f1-f3 with the u-scale error, n = 2..6, either storage
 # (34-42 at n = 3, 4 once a slab is one row).
 WORK_ARRAYS = 56
+# Rectangles of one band fill (_band_rhs) alive at once, counting f's result:
+# tracemalloc measured at most 7.2 for f1-f3 on a 64 by 127 rectangle (f3).
+_RECT_ARRAYS = 9
 
 
 class SchemeDomainError(ValueError):
@@ -384,9 +394,9 @@ def s3_update(inp: UpdateInputs, method: str = "auto") -> float:
 # ---------------------------------------------------------------------------
 
 def _as_rhs(f):
-    """Normalize a constant or a callable f into a callable taking a tuple of
-    broadcastable coordinate arrays."""
-    if isinstance(f, (int, float)):
+    """Normalize a constant (a Python or NumPy real scalar) or a callable f
+    into a callable taking a tuple of broadcastable coordinate arrays."""
+    if isinstance(f, (int, float, np.integer, np.floating)):
         c = float(f)
         if c < 0.0:
             raise SchemeDomainError(f"negative constant right-hand side {c}")
@@ -426,17 +436,65 @@ def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
     return np.broadcast_to(F, (i1 - i0,) + spec.shape[1:])
 
 
-def _front_rhs(f, spec: GridSpec):
-    """f on one front, as a function of the node coordinates x (a tuple of
-    1-d arrays), the nodes' positions in the flat field and their count."""
+def _front_rhs(f, spec: GridSpec, xs: np.ndarray):
+    """f on one front of a rolling solve, as a function of the front number
+    d, its _Front fr and its node coordinates x (a tuple of 1-d arrays).
+    xs is the read-only axis coordinate table."""
     if isinstance(f, GridField):
         F = f.values.reshape(-1)
-        return lambda x, flat, size: F[flat]
+        return lambda d, fr, x: F[fr.flat]
     fn = _as_rhs(f)
+    if spec.n == 2:
+        return _band_rhs(fn, spec, xs)
 
-    def rhs(x, flat, size):
+    def rhs(d, fr, x):
+        size = fr.hi - fr.lo
         fd = np.asarray(fn(x), dtype=np.float64)
         return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
+    return rhs
+
+
+def _band_dims(m: int) -> tuple[int, int]:
+    """(B, T): fronts per band and rows per rectangle of _band_rhs."""
+    return min(_BAND, m + 1), min(_TILE, m + 1)
+
+
+def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
+    """f on the fronts of an n = 2 rolling solve, read from a band of B
+    fronts: band[d - D, i] is f at node (i, d - i), for the fronts d in
+    [D, D + B). Each band is filled from blocks of at most T rows [r0, r1):
+    f on the sparse rectangle x[r0:r1] by x[c0:c0 + t + B - 1], with
+    t = r1 - r0 and c0 = D - r1 + 1, holds front D + k of row r0 + r at
+    (r, t - 1 - r + k), a skewed diagonal strip that one strided view copies
+    out. So f evaluates its per-axis work on (t + B - 1)-long coordinate
+    vectors instead of on every node. Columns past either end of the axis
+    read the end coordinates, so f sees grid coordinates only; those
+    entries are off the grid and never read."""
+    m = spec.m
+    B, T = _band_dims(m)
+    xpad = np.concatenate((np.full(B - 1, xs[0]), xs, np.full(B - 1, xs[-1])))
+    xpad.flags.writeable = False
+    band = np.empty((B, m + 1))
+    first = -B  # the band holds the fronts [first, first + B)
+
+    def fill(D):
+        last = min(m, D + B - 1) + 1  # rows [max(0, D - m), last) meet the band
+        for r0 in range(max(0, D - m), last, T):
+            r1 = min(r0 + T, last)
+            t = r1 - r0
+            c0 = D - r1 + B  # D - r1 + 1 on the axis, shifted by the padding
+            F = np.asarray(fn((xs[r0:r1, None], xpad[None, c0:c0 + t + B - 1])),
+                           dtype=np.float64)
+            F = np.broadcast_to(F, (t, t + B - 1))
+            s0, s1 = F.strides
+            band[:, r0:r1] = as_strided(F[:, t - 1:], (t, B), (s0 - s1, s1)).T
+
+    def rhs(d, fr, x):
+        nonlocal first
+        if d >= first + B:
+            first = d
+            fill(d)
+        return band[d - first, fr.lo:fr.hi]
     return rhs
 
 
@@ -692,7 +750,7 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     prev = np.zeros(1 + nheads)  # a fixed 0, then front d-1 by head position
     out = np.zeros(nheads if rolling else R * nheads)
     if rolling:
-        rhs = _front_rhs(f, spec)
+        rhs = _front_rhs(f, spec, xs)
     else:
         field = out.reshape(spec.shape)
         for i0, i1, x in _slabs(spec):
@@ -708,9 +766,9 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
         lo, hi = fr.lo, fr.hi
         x = (tuple(xs[i] for i in fr.heads) + (xs_rev[fr.tail],)
              if gather else None)
-        # one contiguous copy of the front's rhs (a strided view at n = 2)
-        fd = np.ascontiguousarray(rhs(x, fr.flat, hi - lo) if rolling
-                                  else out[fr.flat])
+        # the front's rhs, contiguous: at n = 2 full storage copies a strided
+        # view of the field, and rolling storage reads a row of the band
+        fd = np.ascontiguousarray(rhs(d, fr, x) if rolling else out[fr.flat])
         if not (np.minimum.reduce(fd, initial=0.0) >= 0.0
                 and np.maximum.reduce(fd, initial=0.0) < math.inf):
             k = int(np.argmin(np.isfinite(fd) & (fd >= 0.0)))
@@ -779,8 +837,9 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     With storage="full" f is evaluated, and error_fn folded, over i_1-slabs
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
-    retained, both are evaluated per front, and the report carries the final
-    axis-1 slab. Either way a callable f and error_fn must be elementwise on
+    retained, both are evaluated per front (f at n = 2 on row blocks of a
+    band of fronts, _band_rhs), and the report carries the final axis-1
+    slab. Either way a callable f and error_fn must be elementwise on
     broadcastable coordinate arrays, and the two storages agree bit for bit.
     """
     kind = SchemeKind.parse(kind)
@@ -803,7 +862,15 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
 def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
     WORK_ARRAYS float64 arrays the size of its work unit, one front of
-    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger."""
+    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger. A rolling solve
+    at n = 2 holds no slab but WORK_ARRAYS fronts, the rhs band of B fronts
+    and _RECT_ARRAYS rectangles of T by T+B-1 nodes that fill it
+    (_band_rhs); it is charged the larger of the two."""
     front = (spec.m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
-    return field + WORK_ARRAYS * _slab_rows(spec) * front * 8
+    work = WORK_ARRAYS * _slab_rows(spec) * front
+    if storage == "rolling" and spec.n == 2:
+        B, T = _band_dims(spec.m)
+        work = max(work, (WORK_ARRAYS + B) * front
+                   + _RECT_ARRAYS * T * (T + B - 1))
+    return field + 8 * work

@@ -94,6 +94,23 @@ def test_studyspec_validation():
         StudySpec(case=case, schemes=(SchemeKind.S1, SchemeKind.S1), ms=(40,))
     with pytest.raises(ValueError, match="duplicate scheme"):
         StudySpec(case=case, schemes=(SchemeKind.S2, "s3", SchemeKind.S3), ms=(40,))
+    with pytest.raises(ValueError, match="empty scheme list"):
+        StudySpec(case=case, schemes=(), ms=(40,))
+    with pytest.raises(ValueError, match="unknown scheme"):
+        StudySpec(case=case, schemes=("s4",), ms=(40,))
+    # scheme names are stored as SchemeKind values
+    study = StudySpec(case=case, schemes=("s1", "S2", SchemeKind.S3), ms=(40,))
+    assert study.schemes == (SchemeKind.S1, SchemeKind.S2, SchemeKind.S3)
+
+
+def test_render_study_built_from_scheme_names():
+    case = make_case("const", 2, c=1.0)
+    rows = run_study(StudySpec(case=case, schemes=("s2", "s1"), ms=(4, 8)))
+    assert list(rows) == [SchemeKind.S2, SchemeKind.S1]
+    assert "(S2) linf error" in render_markdown(rows).splitlines()[0]
+    assert render_csv(rows, case).splitlines()[1].startswith("s2,2,const:1,4,")
+    assert [r["scheme"] for r in json.loads(render_json(rows, case))["rows"]] \
+        == ["s2", "s2", "s1", "s1"]
 
 
 def test_run_study_constant_exact_rows():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import _Fronts, solve
+from hjsolve.schemes import _BAND, _Fronts, solve
 from hjsolve.testcases import make_case
 
 from props import field_csv_per_cell
@@ -176,6 +176,13 @@ def _check_front_index(spec):
     pytest.param(4, 5, "s3", "f2", False, id="4-5-s3-f2"),
     pytest.param(2, 17, "s2", "f2", True, id="2-17-s2-f2-bisect"),
     pytest.param(2, 17, "s3", "f3", True, id="2-17-s3-f3-bisect"),
+    # n = 2 rolling reads f from bands of _BAND fronts: sizes at the band width
+    *(pytest.param(2, m, kind, case_name, False, id=f"2-{m}-{kind}-{case_name}")
+      for m in (1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1)
+      for kind in ("s1", "s2", "s3")
+      for case_name in ("f1", "f2", "f3", "const")),
+    pytest.param(2, _BAND + 1, "s3", "f2", True,
+                 id=f"2-{_BAND + 1}-s3-f2-bisect"),
 ])
 def test_rolling_equals_full_bitwise(n, m, kind, case_name, force):
     case = make_case(case_name, n)

@@ -13,9 +13,9 @@ import pytest
 from hjsolve import schemes
 from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import (WORK_ARRAYS, BisectionCapError, SchemeKind,
-                             SolveError, residual_stats, solve,
-                             working_set_bytes)
+from hjsolve.schemes import (_BAND, WORK_ARRAYS, BisectionCapError,
+                             SchemeDomainError, SchemeKind, SolveError,
+                             residual_stats, solve, working_set_bytes)
 from hjsolve.testcases import make_case
 
 from props import (node_update, oracle_band_solve, oracle_solve,
@@ -479,9 +479,14 @@ def test_full_solve_memory_with_u_scale_error(n, m, ratio, kind):
     assert peak <= ratio * spec.num_nodes * 8
 
 
-@pytest.mark.parametrize("storage", ["full", "rolling"])
-@pytest.mark.parametrize("n,m", [(2, 8), (2, 300), (3, 8), (3, 40), (4, 24),
-                                 (5, 8)])
+@pytest.mark.parametrize("n,m,storage", [
+    (n, m, storage)
+    for n, m in ((2, 8), (2, 300), (3, 8), (3, 40), (4, 24), (5, 8))
+    for storage in ("full", "rolling")
+] + [
+    # the rhs band of an n = 2 rolling solve, at and around its width
+    (2, m, "rolling") for m in (_BAND - 1, _BAND, _BAND + 1, 1000)
+])
 def test_working_set_bytes_bounds_the_traced_peak(n, m, storage):
     # the CLI memory guard charges working_set_bytes; every scheme and case,
     # with the u-scale error folded in, must stay under it
@@ -508,18 +513,24 @@ def test_working_set_bytes_bounds_the_traced_peak(n, m, storage):
 
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
-@pytest.mark.parametrize("node", [(5, 2), (5, 2, 6), (0, 3)],
-                         ids=["n2", "n3", "n2-i1-zero"])
-def test_full_storage_callable_rhs_invalid_node(node, kind, bad):
+@pytest.mark.parametrize("node,m", [
+    pytest.param((5, 2), 8, id="n2"),
+    pytest.param((5, 2, 6), 8, id="n3"),
+    pytest.param((0, 3), 8, id="n2-i1-zero"),
+    # the last front, d = 2B - 1, of the second rhs band of a rolling solve
+    pytest.param((100, 2 * _BAND - 101), 2 * _BAND + 1, id="n2-band-last"),
+    pytest.param((2 * _BAND + 1,) * 2, 2 * _BAND + 1, id="n2-corner"),
+])
+def test_full_storage_callable_rhs_invalid_node(node, m, kind, bad):
     # the slab-filled rhs is checked per front and names the node, also a
     # boundary node (S3 solves it; S1/S2 check it all the same)
     n = len(node)
-    spec = GridSpec(n, 8)
+    spec = GridSpec(n, m)
 
     def f(xs):
         hit = np.ones(np.broadcast_shapes(*(np.shape(x) for x in xs)), bool)
         for x, i in zip(xs, node):
-            hit = hit & (np.asarray(x) == i / 8)
+            hit = hit & (np.asarray(x) == i / m)
         return np.where(hit, bad, 1.0)
 
     for storage in ("full", "rolling"):
@@ -528,14 +539,31 @@ def test_full_storage_callable_rhs_invalid_node(node, kind, bad):
         assert err.value.multi_index == node
 
 
+def _on_grid_rhs(m):
+    """A callable rhs that fails unless every coordinate it is given is a
+    grid coordinate i/m with 0 <= i <= m."""
+    def f(xs):
+        for x in xs:
+            i = np.rint(np.asarray(x) * m)
+            assert np.all((0 <= i) & (i <= m)) and np.array_equal(x, i / m)
+        return 1.0 + np.asarray(xs[0]) * np.sin(5.0 * np.asarray(xs[-1]))
+    return f
+
+
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
-@pytest.mark.parametrize("n,m", [(2, 30), (3, 7)])
+@pytest.mark.parametrize("n,m", [(2, 30), (3, 7)] + [
+    # the rhs band of an n = 2 rolling solve, at and around its width
+    (2, m) for m in (1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1)
+])
 @pytest.mark.parametrize("rhs", [
     lambda xs: 1.0 + np.sin(3.0 * np.asarray(xs[0])),  # depends on x_1 only
     lambda xs: 2.0,                                    # returns a scalar
     0.75,                                              # constant
-], ids=["x1-only", "scalar", "constant"])
+    _on_grid_rhs,                                      # built per m
+], ids=["x1-only", "scalar", "constant", "on-grid"])
 def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
+    if rhs is _on_grid_rhs:
+        rhs = _on_grid_rhs(m)
     spec = GridSpec(n, m)
     err = lambda vals, xs: np.abs(vals - np.asarray(xs[-1]))
     full = solve(spec, kind, rhs, error_fn=err)
@@ -543,3 +571,28 @@ def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
     _same_report(full, roll)
     f = rhs if callable(rhs) else (lambda xs: rhs)
     assert np.array_equal(full.field.values, oracle_solve(spec, kind, f))
+
+
+@pytest.mark.parametrize("const", [np.float32(1.5), np.int64(2), np.float64(0.25)],
+                         ids=["float32", "int64", "float64"])
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("n,m", [(2, 4), (2, 2 * _BAND + 1), (3, 5)])
+def test_numpy_scalar_constant_rhs(const, storage, n, m):
+    # a NumPy real scalar is a constant rhs, bit for bit the Python float
+    spec = GridSpec(n, m)
+    err = lambda vals, xs: np.abs(vals - np.asarray(xs[0]))
+    for kind in SchemeKind:
+        got = solve(spec, kind, const, storage=storage, error_fn=err)
+        ref = solve(spec, kind, float(const), storage=storage, error_fn=err)
+        if storage == "full":
+            assert np.array_equal(got.field.values, ref.field.values)
+        else:
+            assert np.array_equal(got.final_slab, ref.final_slab)
+        assert (got.linf_error, got.max_band_violation) == \
+            (ref.linf_error, ref.max_band_violation)
+
+
+@pytest.mark.parametrize("const", [np.float32(-1.0), np.int64(-2), -0.5])
+def test_negative_constant_rhs_rejected(const):
+    with pytest.raises(SchemeDomainError):
+        solve(GridSpec(2, 4), "s1", const, storage="rolling")
