@@ -123,8 +123,7 @@ def cmd_solve(args) -> int:
     _guard_memory(spec, args)
     f, label = _rhs_source(args, spec)
 
-    rep = solve(spec, args.scheme, f, storage=args.storage,
-                force_bisection=args.force_bisection)
+    rep = solve(spec, args.scheme, f, storage=args.storage)
 
     out = _out_dir(args)
     prefix = f"solve_{rep.kind.value}_{label}_n{spec.n}_m{spec.m}"
@@ -290,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--case", help="f1 | f2 | f3 | const:<c>")
     ps.add_argument("--field-file", help="right-hand side as a binary grid-field file")
     ps.add_argument("--storage", default="full", choices=("full", "rolling"))
-    ps.add_argument("--force-bisection", action="store_true",
-                    help="use bisection even where closed forms exist (n=2)")
     ps.add_argument("--format", default="binary", choices=("binary", "csv", "both"))
     ps.set_defaults(func=cmd_solve)
 

@@ -75,6 +75,10 @@ WORK_ARRAYS = 56
 # Rectangles of one band fill (_band_rhs) alive at once, counting f's result:
 # tracemalloc measured at most 7.2 for f1-f3 on a 64 by 127 rectangle (f3).
 _RECT_ARRAYS = 9
+# Bytes a solve holds at any size (array headers, front index, closures):
+# tracemalloc measured at most 12.8 KB above the work arrays on m = 1..3,
+# n = 2..6, f1-f3 and const with the u-scale error (n = 4, m = 1, rolling).
+SOLVE_FIXED_BYTES = 32 * 1024
 
 
 class SchemeDomainError(ValueError):
@@ -183,9 +187,9 @@ def _closed(kind, A, x, f, h):
 
 
 # ---------------------------------------------------------------------------
-# Scheme residual and band bisection (n >= 3, and n = 2 when bisection is
-# forced).  A is the list of n backward-neighbor arrays in axis order; C
-# (S3 only) the per-axis weights c_i = n*x_i/h; b the scaled right-hand side.
+# Scheme residual and band bisection (n >= 3).  A is the list of n
+# backward-neighbor arrays in axis order; C (S3 only) the per-axis weights
+# c_i = n*x_i/h; b the scaled right-hand side.
 # ---------------------------------------------------------------------------
 
 def _pow_int(base: float, exponent: int) -> float:
@@ -221,10 +225,7 @@ def _residual(kind, t, A, C, b, n, clip=True):
         else:
             prod *= fac
     if kind is SchemeKind.S2:
-        den = t
-        for _ in range(n - 2):
-            den = den * t
-        return prod, b * den
+        return prod, b * _pow_int(t, n - 1)
     return prod, b
 
 
@@ -734,7 +735,7 @@ def _axis_tables(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, rev
 
 
-def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
+def _solve_fronts(spec, kind, f, rolling, error_fn):
     """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
     compute front d; each front is scattered into the full field, or with
     rolling storage only into the final i_1 = m slab. With full storage the
@@ -745,7 +746,6 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
     fronts = _Fronts(spec, rolling)
     xs, xs_rev = _axis_tables(spec.axis_coords())
     cw, cw_rev = _axis_tables(n * np.arange(R, dtype=np.float64))  # S3 c_i
-    closed = n == 2 and not force_bisection
     nheads = R ** (n - 1)
     prev = np.zeros(1 + nheads)  # a fixed 0, then front d-1 by head position
     out = np.zeros(nheads if rolling else R * nheads)
@@ -756,7 +756,7 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
         for i0, i1, x in _slabs(spec):
             field[i0:i1] = _slab_rhs(f, spec, i0, i1, x)
     # coordinates per front: the rolling rhs and error, and S3's closed form
-    gather = rolling or (closed and kind is SchemeKind.S3)
+    gather = rolling or (n == 2 and kind is SchemeKind.S3)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
@@ -790,7 +790,7 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
             return fronts.node(lo + int(np.arange(hi - lo)[sel][k]), d)
 
         try:
-            t = (_closed(kind, A, x, fs, h) if closed
+            t = (_closed(kind, A, x, fs, h) if n == 2
                  else _update_vec(kind, A, C, fs, h, n, stats))
         except BisectionCapError as exc:
             bad = node(int(exc.local_indices[0]))
@@ -825,8 +825,11 @@ def _solve_fronts(spec, kind, f, rolling, force_bisection, error_fn):
 # ---------------------------------------------------------------------------
 
 def solve(spec: GridSpec, kind, f, *, storage: str = "full",
-          force_bisection: bool = False, error_fn=None) -> SolveReport:
+          error_fn=None) -> SolveReport:
     """Solve one scheme over the grid in a single pass.
+
+    Every node takes its scheme's closed form at n = 2 and the band
+    bisection (_update_vec) at n >= 3; no option selects another update.
 
     f may be a nonnegative constant, a callable on a tuple of broadcastable
     coordinate arrays, or a GridField on the same spec; a negative or
@@ -847,8 +850,7 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
         raise ValueError(f"unknown storage mode {storage!r}")
     t0 = time.perf_counter()
     rolling = storage == "rolling"
-    out, cert, linf, stats = _solve_fronts(spec, kind, f, rolling,
-                                           force_bisection, error_fn)
+    out, cert, linf, stats = _solve_fronts(spec, kind, f, rolling, error_fn)
     wall = time.perf_counter() - t0
     mean = stats.iters_total / stats.nodes if stats.nodes else 0.0
     return SolveReport(spec=spec, kind=kind, storage=storage,
@@ -862,10 +864,11 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
 def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
     WORK_ARRAYS float64 arrays the size of its work unit, one front of
-    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger. A rolling solve
-    at n = 2 holds no slab but WORK_ARRAYS fronts, the rhs band of B fronts
-    and _RECT_ARRAYS rectangles of T by T+B-1 nodes that fill it
-    (_band_rhs); it is charged the larger of the two."""
+    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger, plus
+    SOLVE_FIXED_BYTES. A rolling solve at n = 2 holds no slab but
+    WORK_ARRAYS fronts, the rhs band of B fronts and _RECT_ARRAYS rectangles
+    of T by T+B-1 nodes that fill it (_band_rhs); it is charged the larger
+    of the two."""
     front = (spec.m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
     work = WORK_ARRAYS * _slab_rows(spec) * front
@@ -873,4 +876,4 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
         B, T = _band_dims(spec.m)
         work = max(work, (WORK_ARRAYS + B) * front
                    + _RECT_ARRAYS * T * (T + B - 1))
-    return field + 8 * work
+    return field + 8 * work + SOLVE_FIXED_BYTES

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridField
-from .schemes import SchemeKind
+from .schemes import SchemeKind, _as_rhs
 
 DEFAULT_K = 20.0
 DEFAULT_C = 10.0
@@ -154,9 +154,7 @@ def make_case(name: str, n: int, *, k: float = DEFAULT_K, C: float = DEFAULT_C,
             raise ValueError(f"constant rhs must be nonnegative and finite, got {c}")
         croot = float(np.power(c, 1.0 / n))
         return TestCase(
-            "const", n,
-            lambda xs: np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
-                                             for x in xs))[0] * 0.0 + c,
+            "const", n, _as_rhs(c),
             lambda xs: (n * croot) * np.power(_coord_product(xs), 1.0 / n),
             {"c": c})
     raise ValueError(f"unknown test case {name!r}; expected f1, f2, f3 or const")

@@ -75,7 +75,7 @@ def oracle_s3(x, a, h, f):
     return oracle_root(g, lo, hi)
 
 
-def node_update(spec, kind, W, F, mi, method="auto"):
+def node_update(spec, kind, W, F, mi):
     """Scalar update of node mi from its backward neighbors in W, as the
     engine computes it: S3 gets the exact weights c_i = n*i_i rather than
     n*x_i/h."""
@@ -86,7 +86,7 @@ def node_update(spec, kind, W, F, mi, method="auto"):
     inp = UpdateInputs(n=n, h=spec.h, x=tuple(xs[i] for i in mi),
                        f_x=float(F[mi]), a=a)
     cs = [float(n * i) for i in mi] if kind is SchemeKind.S3 else None
-    return _update(kind, inp, method, cs)
+    return _update(kind, inp, "auto", cs)
 
 
 def rhs_values(spec, f) -> np.ndarray:
@@ -96,18 +96,17 @@ def rhs_values(spec, f) -> np.ndarray:
                            spec.shape)
 
 
-def oracle_solve(spec, kind, f, force_bisection=False) -> np.ndarray:
+def oracle_solve(spec, kind, f) -> np.ndarray:
     """Scalar reference solve: every node in lexicographic order through the
     scalar update of its scheme, which is the bitwise reference for the
     vectorized engine. S1/S2 keep zeros on the boundary faces."""
     kind = SchemeKind.parse(kind)
     F = rhs_values(spec, f)
-    method = "bisect" if force_bisection else "auto"
     W = np.zeros(spec.shape)
     for mi in np.ndindex(spec.shape):
         if kind.has_boundary_condition and min(mi) == 0:
             continue
-        W[mi] = node_update(spec, kind, W, F, mi, method)
+        W[mi] = node_update(spec, kind, W, F, mi)
     return W
 
 

@@ -1,8 +1,10 @@
 """CLI surface: exit codes, output files, determinism, memory guard."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hjsolve.cli import main
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import working_set_bytes
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run_cli(*argv):
     return main(list(argv))
@@ -36,20 +39,6 @@ def test_solve_smoke_n3_within_band(tmp_path):
     report = json.loads((tmp_path / "solve_s1_f2_n3_m20.report.json").read_text())
     assert report["max_band_violation"] <= 1e-12
     assert report["bisect_nodes"] > 0
-
-
-def test_solve_force_bisection_matches_closed_within_band(tmp_path):
-    rc = run_cli("solve", "--scheme", "s3", "--case", "f3", "--n", "2",
-                 "--m", "60", "--out", str(tmp_path), "--format", "binary")
-    assert rc == 0
-    rc = run_cli("solve", "--scheme", "s3", "--case", "f3", "--n", "2",
-                 "--m", "60", "--out", str(tmp_path / "b"), "--force-bisection")
-    assert rc == 0
-    closed = GridField.load_binary(tmp_path / "solve_s3_f3_n2_m60.bin")
-    bise = GridField.load_binary(tmp_path / "b" / "solve_s3_f3_n2_m60.bin")
-    h = 1.0 / 60
-    assert np.all(bise.values >= closed.values - 1e-12)
-    assert np.all(bise.values <= closed.values * (1.0 + h) + 1e-12)
 
 
 def test_solve_deterministic_outputs(tmp_path):
@@ -186,6 +175,15 @@ def test_convergence_removed_flags_exit_2(flag, capsys):
     # rows run in order with the closed forms at n=2; neither flag is known
     with pytest.raises(SystemExit) as exc:
         run_cli("convergence", "--case", "f2", "--n", "2", "--max-k", "0", *flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_removed_force_bisection_exits_2(capsys):
+    # the update follows from the dimension: closed forms at n=2, no switch
+    with pytest.raises(SystemExit) as exc:
+        run_cli("solve", "--scheme", "s1", "--case", "const:1", "--n", "2",
+                "--m", "4", "--force-bisection")
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -384,14 +382,21 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert rc == 2  # cap from the environment refuses the full grid
 
 
+def run_entry_point(*argv):
+    # a child process does not see pytest's pythonpath: hand it the checkout's src
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "hjsolve.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 def test_entry_point_help():
-    proc = subprocess.run([sys.executable, "-m", "hjsolve.cli", "--help"],
-                          capture_output=True, text=True)
+    proc = run_entry_point("--help")
     assert proc.returncode == 0
     assert "solve" in proc.stdout and "pareto" in proc.stdout
 
 
 def test_entry_point_bad_flag_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "hjsolve.cli", "solve",
-                           "--bogus"], capture_output=True, text=True)
+    proc = run_entry_point("solve", "--bogus")
     assert proc.returncode == 2

@@ -166,31 +166,26 @@ def _check_front_index(spec):
     assert len(seen) == spec.num_nodes
 
 
-@pytest.mark.parametrize("n,m,kind,case_name,force", [
-    pytest.param(2, 31, "s1", "f2", False, id="2-31-s1-f2"),
-    pytest.param(2, 31, "s2", "f3", False, id="2-31-s2-f3"),
-    pytest.param(2, 31, "s3", "f2", False, id="2-31-s3-f2"),
-    pytest.param(3, 9, "s2", "f3", False, id="3-9-s2-f3"),
-    pytest.param(3, 9, "s3", "f2", False, id="3-9-s3-f2"),
-    pytest.param(4, 5, "s1", "f3", False, id="4-5-s1-f3"),
-    pytest.param(4, 5, "s3", "f2", False, id="4-5-s3-f2"),
-    pytest.param(2, 17, "s2", "f2", True, id="2-17-s2-f2-bisect"),
-    pytest.param(2, 17, "s3", "f3", True, id="2-17-s3-f3-bisect"),
+@pytest.mark.parametrize("n,m,kind,case_name", [
+    pytest.param(2, 31, "s1", "f2", id="2-31-s1-f2"),
+    pytest.param(2, 31, "s2", "f3", id="2-31-s2-f3"),
+    pytest.param(2, 31, "s3", "f2", id="2-31-s3-f2"),
+    pytest.param(3, 9, "s2", "f3", id="3-9-s2-f3"),
+    pytest.param(3, 9, "s3", "f2", id="3-9-s3-f2"),
+    pytest.param(4, 5, "s1", "f3", id="4-5-s1-f3"),
+    pytest.param(4, 5, "s3", "f2", id="4-5-s3-f2"),
     # n = 2 rolling reads f from bands of _BAND fronts: sizes at the band width
-    *(pytest.param(2, m, kind, case_name, False, id=f"2-{m}-{kind}-{case_name}")
+    *(pytest.param(2, m, kind, case_name, id=f"2-{m}-{kind}-{case_name}")
       for m in (1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1)
       for kind in ("s1", "s2", "s3")
       for case_name in ("f1", "f2", "f3", "const")),
-    pytest.param(2, _BAND + 1, "s3", "f2", True,
-                 id=f"2-{_BAND + 1}-s3-f2-bisect"),
 ])
-def test_rolling_equals_full_bitwise(n, m, kind, case_name, force):
+def test_rolling_equals_full_bitwise(n, m, kind, case_name):
     case = make_case(case_name, n)
     spec = GridSpec(n, m)
     err = lambda vals, xs: np.abs(vals - 0.0)  # running sup of the raw values
-    full = solve(spec, kind, case.f, force_bisection=force, error_fn=err)
-    roll = solve(spec, kind, case.f, force_bisection=force, storage="rolling",
-                 error_fn=err)
+    full = solve(spec, kind, case.f, error_fn=err)
+    roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
     slab_full = full.field.values[-1].reshape(-1)
     assert np.array_equal(roll.final_slab, slab_full)
     assert roll.linf_error == full.linf_error

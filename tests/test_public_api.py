@@ -1,6 +1,11 @@
 """The package's public surface: the names `hjsolve` exports, and the
-helpers that were removed from it because only their own tests called them.
-Growing the surface again takes a deliberate edit here."""
+helpers that were removed from it because only their own tests called them,
+and the options of `solve`. Growing the surface again takes a deliberate
+edit here."""
+
+import inspect
+
+import pytest
 
 import hjsolve
 from hjsolve import convergence, grid, testcases
@@ -37,3 +42,12 @@ def test_all_is_pinned_and_resolves():
 def test_removed_names_are_gone():
     assert [(getattr(owner, "__name__", owner), name)
             for owner, name in REMOVED if hasattr(owner, name)] == []
+
+
+def test_solve_options_are_pinned():
+    # the update follows from the dimension; no option selects another path
+    params = inspect.signature(hjsolve.solve).parameters.values()
+    assert [p.name for p in params if p.kind is p.KEYWORD_ONLY] == \
+        ["storage", "error_fn"]
+    with pytest.raises(TypeError):
+        hjsolve.solve(hjsolve.GridSpec(2, 4), "s1", 1.0, force_bisection=True)
