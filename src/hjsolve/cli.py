@@ -52,20 +52,21 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _guard_memory(spec: GridSpec, args) -> None:
+def _guard_memory(spec: GridSpec, args, kinds=()) -> None:
     """Refuse a run whose working set is above the memory cap, before any
     work is done or any file is read. A solve holds its field (none with
     rolling storage) and its front- or slab-sized work arrays
-    (schemes.working_set_bytes). `pareto` and `--emit-levelsets` solve with
-    full storage and then also hold one field-sized temporary of the u-scale
-    transform (convergence.u_field), so they are charged one more field. A
-    `--field-file` right-hand side is one more field. Only a full `solve`
+    (schemes.working_set_bytes). `pareto` and `--emit-levelsets` solve the
+    schemes `kinds` with full storage and map each field to the u scale in
+    place (convergence.u_field); only S3's map holds a field-sized
+    temporary, its coordinate product, so only S3 is charged one more field.
+    A `--field-file` right-hand side is one more field. Only a full `solve`
     can stream instead, so only it suggests rolling."""
     field = spec.num_nodes * 8
     if args.command == "solve":
         need = working_set_bytes(spec, args.storage)
     else:
-        need = working_set_bytes(spec) + field
+        need = working_set_bytes(spec) + field * (SchemeKind.S3 in kinds)
     need += field * bool(getattr(args, "field_file", None))
     cap = _mem_cap(args)
     if need > cap:
@@ -169,7 +170,7 @@ def cmd_convergence(args) -> int:
                            ms=tuple(ms), byte_cap=_mem_cap(args))
     if args.emit_levelsets:
         level_spec = GridSpec(args.n, max(ms))
-        _guard_memory(level_spec, args)
+        _guard_memory(level_spec, args, study.schemes)
     rows = conv.run_study(study)
 
     title = f"case {case.label}, n={args.n}"
@@ -203,9 +204,9 @@ def cmd_convergence(args) -> int:
 
 def cmd_pareto(args) -> int:
     spec = GridSpec(args.n, args.m)
-    _guard_memory(spec, args)
-    f, label = _rhs_source(args, spec)
     kind = SchemeKind.parse(args.scheme)
+    _guard_memory(spec, args, (kind,))
+    f, label = _rhs_source(args, spec)
     phases: dict[str, float] = {}
     with _timed(phases, "load_s"):
         cloud = load_cloud_csv(args.input, args.n)

@@ -43,7 +43,10 @@ At n = 2 a rolling solve evaluates a callable f on row blocks of a band of
 B fronts (_band_rhs): sparse rectangles of at most T rows by T+B-1 columns,
 whose skewed diagonal strips hold the band's nodes, so f's per-axis work
 runs on coordinate vectors, for O(B*(m+1)) extra memory. residual_stats
-runs over the same slabs as full storage. So a callable f and an error_fn
+runs over the same slabs as full storage: each is copied into one buffer,
+zero-padded on the low face of every axis, whose shifted views are the
+backward neighbors for all three schemes, and the S1/S2 zero boundary is
+checked once, on the n faces of the field. So a callable f and an error_fn
 must be elementwise on broadcastable coordinate arrays: the value at a node
 may not depend on how nodes are batched.
 """
@@ -525,7 +528,7 @@ def _max_violation(product, target, band) -> float:
     0.0 goes first into the clip so that a -0.0 never leaks. Otherwise (a
     target <= 0, or a result that is not finite: nan fails < inf) it falls
     back to _violation itself. The engine runs it once per front,
-    residual_stats once per slab part."""
+    residual_stats once per face and once per slab."""
     if product.size and np.minimum.reduce(target, axis=None) > 0.0:
         a = target - product
         np.maximum(a, product - (1.0 + band) * target, out=a)
@@ -541,54 +544,40 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
 
     Zero (up to float dust) certifies that every node is either inside the
     (1+h) acceptance band or solved exactly (closed form / degenerate cases);
-    any non-finite value, product or target makes it infinite. Evaluated
-    over i_1-slabs, each reading its axis-0 neighbors from the row before.
+    any non-finite value, product or target makes it infinite. S1/S2
+    boundary nodes (a zero index) must hold exactly zero; that is checked
+    once, on the n faces of the field. The residual runs over i_1-slabs, each
+    copied into a buffer P padded with one leading layer on every axis:
+    P's low faces are zero, except its leading i_1-row, which holds the row
+    before the slab. So the axis-j neighbors of the slab S = P[1:, ..., 1:]
+    are the view of P shifted by one on axis j, for every scheme. S3 (whose
+    weights vanish on the faces) takes the whole slab, S1/S2 its interior.
     """
     spec = field.spec
     _check_rhs_spec(f, spec)
     kind = SchemeKind.parse(kind)
     n, h = spec.n, spec.h
     V = field.values
-    cs = n * np.arange(spec.m + 1, dtype=np.float64)  # S3 weights n x_i / h
     worst = 0.0
+    if kind.has_boundary_condition:
+        worst = max(_max_violation(np.abs(V[(slice(None),) * ax + (0,)]), 0.0, h)
+                    for ax in range(n))
+    cs = n * np.arange(spec.m + 1, dtype=np.float64)  # S3 weights n x_i / h
+    C = [cs.reshape((-1,) + (1,) * (n - 1 - ax)) for ax in range(n)]
+    pad = (slice(1, None),) * n
+    P = np.zeros((_slab_rows(spec) + 1,) + (spec.m + 2,) * (n - 1))
     for i0, i1, x in _slabs(spec):
-        F = _slab_rhs(f, spec, i0, i1, x)
-        S = V[i0:i1]
-        if kind.has_boundary_condition:
-            # (product, target) pairs; boundary nodes must hold exactly zero
-            parts = [(np.abs(V[0]), 0.0)] if i0 == 0 else []
-            lo = max(i0, 1)  # interior rows of the slab
-            inner = (slice(lo - i0, None),) + (slice(1, None),) * (n - 1)
-            A = [V[lo - 1:i1 - 1][(slice(None),) + inner[1:]]]
-            for ax in range(1, n):
-                sl = list(inner)
-                sl[ax] = slice(None, -1)
-                A.append(S[tuple(sl)])
-            b = _scaled_rhs(kind, F[inner], h, n)
-            parts.append(_residual(kind, S[inner], A, None, b, n))
-            for ax in range(1, n):
-                sl = [slice(None)] * n
-                sl[ax] = 0
-                parts.append((np.abs(S[tuple(sl)]), 0.0))
+        Q = P[:i1 - i0 + 1]
+        Q[(slice(0 if i0 else 1, None),) + pad[1:]] = V[max(i0 - 1, 0):i1]
+        A = [Q[pad[:ax] + (slice(None, -1),) + pad[ax + 1:]] for ax in range(n)]
+        if kind.has_boundary_condition:  # the nodes off every face
+            inner = (slice(0 if i0 else 1, None),) + pad[1:]
         else:
-            a = np.empty_like(S)
-            a[0] = V[i0 - 1] if i0 else 0.0
-            a[1:] = V[i0:i1 - 1]
-            A = [a]
-            C = [cs[i0:i1].reshape((-1,) + (1,) * (n - 1))]
-            for ax in range(1, n):
-                c_shape = [1] * n
-                c_shape[ax] = -1
-                C.append(cs.reshape(c_shape))
-                a = np.zeros_like(S)
-                sl_to = [slice(None)] * n
-                sl_to[ax] = slice(1, None)
-                sl_from = [slice(None)] * n
-                sl_from[ax] = slice(None, -1)
-                a[tuple(sl_to)] = S[tuple(sl_from)]
-                A.append(a)
-            parts = [_residual(kind, S, A, C, F, n)]
-        worst = max(worst, *(_max_violation(p, t, h) for p, t in parts))
+            inner = (slice(None),) * n
+        b = _scaled_rhs(kind, _slab_rhs(f, spec, i0, i1, x)[inner], h, n)
+        worst = max(worst, _max_violation(*_residual(
+            kind, Q[pad][inner], [a[inner] for a in A], [C[0][i0:i1]] + C[1:],
+            b, n), h))
     return worst
 
 

@@ -40,12 +40,24 @@ def _coord_product(xs: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-def f1(xs, n: int):
-    """1 where max(x) > 1/2, else 0."""
+def _coord_max(xs: Sequence[np.ndarray]) -> np.ndarray:
     mx = np.asarray(xs[0], dtype=np.float64)
     for x in xs[1:]:
         mx = np.maximum(mx, x)
-    return (mx > 0.5).astype(np.float64)
+    return mx
+
+
+def _sin_square_sum(xs: Sequence[np.ndarray], k: float) -> np.ndarray:
+    """sum_i sin(k x_i)^2, added in axis order."""
+    ssum = np.square(np.sin(k * np.asarray(xs[0], dtype=np.float64)))
+    for x in xs[1:]:
+        ssum = ssum + np.square(np.sin(k * np.asarray(x, dtype=np.float64)))
+    return ssum
+
+
+def f1(xs, n: int):
+    """1 where max(x) > 1/2, else 0."""
+    return (_coord_max(xs) > 0.5).astype(np.float64)
 
 
 def u1(xs, n: int):
@@ -61,9 +73,7 @@ def u1(xs, n: int):
 
 
 def f2(xs, n: int, k: float = DEFAULT_K):
-    ssum = np.square(np.sin(k * np.asarray(xs[0], dtype=np.float64)))
-    for x in xs[1:]:
-        ssum = ssum + np.square(np.sin(k * np.asarray(x, dtype=np.float64)))
+    ssum = _sin_square_sum(xs, k)
     out = None
     for x in xs:
         x = np.asarray(x, dtype=np.float64)
@@ -73,30 +83,23 @@ def f2(xs, n: int, k: float = DEFAULT_K):
 
 
 def u2(xs, n: int, k: float = DEFAULT_K):
-    ssum = np.square(np.sin(k * np.asarray(xs[0], dtype=np.float64)))
-    for x in xs[1:]:
-        ssum = ssum + np.square(np.sin(k * np.asarray(x, dtype=np.float64)))
+    ssum = _sin_square_sum(xs, k)
     return np.power(_coord_product(xs), 1.0 / n) * (ssum + n * k) / (k + 1.0)
 
 
 def w3(xs, n: int, C: float = DEFAULT_C):
     """C * max(x) + sum(x) (the unnormalized profile of the third case)."""
-    mx = np.asarray(xs[0], dtype=np.float64)
     total = np.asarray(xs[0], dtype=np.float64)
     for x in xs[1:]:
-        x = np.asarray(x, dtype=np.float64)
-        mx = np.maximum(mx, x)
-        total = total + x
-    return C * mx + total
+        total = total + np.asarray(x, dtype=np.float64)
+    return C * _coord_max(xs) + total
 
 
 def f3(xs, n: int, C: float = DEFAULT_C):
     """(C+n)^-n * (w3 + n(1+C) max x) * prod over the n-1 smaller coords of
     (w3 + n x). Evaluated in a sort-free symmetric form; the 0/0 at the
     origin is the true limit 0."""
-    mx = np.asarray(xs[0], dtype=np.float64)
-    for x in xs[1:]:
-        mx = np.maximum(mx, x)
+    mx = _coord_max(xs)
     w = w3(xs, n, C)
     allprod = w + n * np.asarray(xs[0], dtype=np.float64)
     for x in xs[1:]:

@@ -218,6 +218,18 @@ def test_convergence_levelset_guard_refuses_before_study(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("schemes,rc", [("s1,s2", 0), ("s2,s3", 2)])
+def test_levelset_guard_charges_the_u_transform_for_s3_only(tmp_path, capsys,
+                                                            schemes, rc):
+    # at a cap of one full solve's working set, only S3 among --schemes
+    # charges the level-set field its u-scale temporary
+    cap = working_set_bytes(GridSpec(2, 8))
+    assert run_cli("convergence", "--case", "f2", "--n", "2", "--m-list", "4,8",
+                   "--schemes", schemes, "--emit-levelsets", "--mem-cap", str(cap),
+                   "--out", str(tmp_path)) == rc
+    assert len(list(tmp_path.glob("levelset_*"))) == (2 if rc == 0 else 0)
+
+
 def test_pareto_guard_does_not_suggest_rolling(tmp_path, capsys):
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("0.1,0.2\n0.5,0.4\n")
@@ -230,27 +242,34 @@ def test_pareto_guard_does_not_suggest_rolling(tmp_path, capsys):
 
 
 def test_pareto_guard_charges_the_u_transform(tmp_path, capsys):
-    # n=2, m=8: a 648-byte field; pareto holds a full solve's working set and
-    # the u-scale temporary, so a cap 352 bytes above the solve's charge
-    # refuses pareto but still lets solve run
+    # n=2, m=8: a 648-byte field; pareto --scheme s3 holds a full solve's
+    # working set and the u-scale temporary (S3's coordinate product), so a
+    # cap 352 bytes above the solve's charge refuses it but still lets solve
+    # run
     work = working_set_bytes(GridSpec(2, 8))
     cap = str(work + 352)
     cloud = tmp_path / "cloud.csv"
     cloud.write_text("0.1,0.2\n0.5,0.4\n")
     rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
-                 "--case", "const:1", "--mem-cap", cap, "--out", str(tmp_path))
+                 "--scheme", "s3", "--case", "const:1", "--mem-cap", cap,
+                 "--out", str(tmp_path))
     assert rc == 2
     assert f"needs {work + 648} bytes" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cloud.csv"]
     rc = run_cli("solve", "--scheme", "s2", "--case", "const:1", "--n", "2",
                  "--m", "8", "--mem-cap", cap, "--out", str(tmp_path / "s"))
     assert rc == 0
+    # S2 maps its field to u in place, so one solve's working set is enough
+    rc = run_cli("pareto", "--input", str(cloud), "--n", "2", "--m", "8",
+                 "--scheme", "s2", "--case", "f2", "--mem-cap", str(work),
+                 "--out", str(tmp_path / "p"))
+    assert rc == 0
 
 
 @pytest.mark.parametrize("command,storage,cap", [
     ("solve", "full", 1000),    # 1x field with --case, 2x with the rhs file
     ("solve", "rolling", 600),  # no field with --case, 1x with the rhs file
-    ("pareto", None, 1500),     # 2x field with --case, 3x with the rhs file
+    ("pareto", None, 1500),     # 2x field with --case, 3x with the rhs file (s3)
 ])
 def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
                                           command, storage, cap):
@@ -267,7 +286,7 @@ def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
     if command == "solve":
         argv = ["solve", "--scheme", "s2", "--storage", storage]
     else:
-        argv = ["pareto", "--input", str(cloud)]
+        argv = ["pareto", "--input", str(cloud), "--scheme", "s3"]
     argv += ["--n", "2", "--m", "8", "--mem-cap", str(cap)]
 
     def no_load(path):

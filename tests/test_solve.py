@@ -344,13 +344,18 @@ def test_bisection_cap_names_first_failing_node(kind, case_name, cap, storage,
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
-@pytest.mark.parametrize("node", [(4, 4), (0, 3)], ids=["interior", "boundary"])
-def test_residual_stats_infinite_on_nan_node(kind, node):
+@pytest.mark.parametrize("node", [(4, 4), (0, 3), (3, 0), (8, 0)],
+                         ids=["interior", "boundary", "face-3-0", "face-8-0"])
+def test_residual_stats_infinite_on_nan_node(kind, node, monkeypatch):
+    # one-row slabs put the i_2 = 0 face nodes (3, 0) and (8, 0) in slabs
+    # after the first
     spec = GridSpec(2, 8)
     V = solve(spec, kind, 1.0).field.values.copy()
     V[node] = np.nan
-    with np.errstate(all="ignore"):
-        assert residual_stats(GridField(spec, V), kind, 1.0) == math.inf
+    for slab_nodes in (schemes._SLAB_NODES, 1):
+        monkeypatch.setattr(schemes, "_SLAB_NODES", slab_nodes)
+        with np.errstate(all="ignore"):
+            assert residual_stats(GridField(spec, V), kind, 1.0) == math.inf
 
 
 def test_rhs_from_grid_field_matches_callable():
@@ -428,19 +433,30 @@ def test_slab_size_does_not_change_results(n, m, kind, slab_nodes, monkeypatch):
         residual_stats_whole_field(noisy, kind, case.f)
 
 
-@pytest.mark.parametrize("kind", list(SchemeKind))
-@pytest.mark.parametrize("n,m", [(2, 40), (3, 9), (4, 5)])
-def test_residual_stats_equals_whole_field_reference(n, m, kind):
+@pytest.mark.parametrize("n,m,kind,slab_nodes", [
+    # the default slab size keeps the ids these cases had before slab_nodes
+    pytest.param(n, m, kind, nodes, id=f"{n}-{m}-{kind}{suffix}")
+    for n, m in [(2, 40), (3, 9), (4, 5)] for kind in SchemeKind
+    for suffix, nodes in [("", None), ("-row", 1), ("-rows", 50)]])
+def test_residual_stats_equals_whole_field_reference(n, m, kind, slab_nodes,
+                                                     monkeypatch):
     # on a perturbed field the violations are far from zero, so bitwise
-    # equality checks the slab neighbors, weights and boundary faces
+    # equality checks the slab neighbors, weights and boundary faces; with
+    # small slabs the nonzero face nodes also lie in slabs after the first
     case = make_case("f3", n)
     spec = GridSpec(n, m)
     V = solve(spec, kind, case.f).field.values
+    if slab_nodes is not None:
+        monkeypatch.setattr(schemes, "_SLAB_NODES", slab_nodes)
     rng = np.random.default_rng(7)
     for scale in (1e-9, 1e-2):
         noisy = GridField(spec, V * (1.0 + scale * rng.standard_normal(V.shape)))
         noisy.values[(0,) * n] = scale  # nonzero boundary nodes, one
         noisy.values[(0,) + (m,) * (n - 1)] = 1e3 * scale  # only on i_1 = 0
+        for ax in range(n):  # and one at a random node of each axis face
+            node = rng.integers(1, m + 1, size=n)
+            node[ax] = 0
+            noisy.values[tuple(node)] = 10.0 * scale * (ax + 1)
         got = residual_stats(noisy, kind, case.f)
         assert got > 0.0
         assert got == residual_stats_whole_field(noisy, kind, case.f)
