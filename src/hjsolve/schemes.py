@@ -37,18 +37,20 @@ Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
 sliced on axis 0). With full storage the right-hand side is written into the
 output field slab by slab before the pass, each front reads its rhs from
-there, and the error is folded over the same slabs after the pass; rolling
-storage folds the error per front, and at n >= 3 evaluates f per front too.
-At n = 2 a rolling solve evaluates a callable f on row blocks of a band of
-B fronts (_band_rhs): sparse rectangles of at most T rows by T+B-1 columns,
-whose skewed diagonal strips hold the band's nodes, so f's per-axis work
-runs on coordinate vectors, for O(B*(m+1)) extra memory. residual_stats
-runs over the same slabs as full storage: each is copied into one buffer,
-zero-padded on the low face of every axis, whose shifted views are the
-backward neighbors for all three schemes, and the S1/S2 zero boundary is
-checked once, on the n faces of the field. So a callable f and an error_fn
-must be elementwise on broadcastable coordinate arrays: the value at a node
-may not depend on how nodes are batched.
+there, and the error is folded over the same slabs after the pass. Rolling
+storage at n >= 3, or with a GridField rhs, reads f and folds the error per
+front. At n = 2 a rolling solve with a callable or constant f reads it from
+a band of B fronts (_band_rhs), filled on sparse rectangles of at most T
+rows by T+B-1 columns whose skewed diagonal strips hold the band's nodes;
+each front then writes its solved values over its rhs row, and the error
+is folded once per band on the same rectangles. So the per-axis work of f
+and error_fn runs on coordinate vectors, for O(B*(m+1)) extra memory and
+no second band. residual_stats runs over the same slabs as full storage:
+each is copied into one buffer, zero-padded on the low face of every axis,
+whose shifted views are the backward neighbors for all three schemes, and
+the S1/S2 zero boundary is checked once, on the n faces of the field. So a
+callable f and an error_fn must be elementwise on broadcastable coordinate
+arrays: the value at a node may not depend on how nodes are batched.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .grid import GridField, GridSpec
 
@@ -75,8 +76,10 @@ _TILE = 64  # rows per rectangle that fills the band
 # most 47 on cases f1-f3 with the u-scale error, n = 2..6, either storage
 # (34-42 at n = 3, 4 once a slab is one row).
 WORK_ARRAYS = 56
-# Rectangles of one band fill (_band_rhs) alive at once, counting f's result:
-# tracemalloc measured at most 7.2 for f1-f3 on a 64 by 127 rectangle (f3).
+# Rectangles of one band fill or error fold (_band_rhs) alive at once,
+# counting f's and error_fn's results: tracemalloc measured at most 7.2 for
+# the fill (f3) and 8.6 for the fold (the u-scale error of f3, S2 and S3) on
+# 64 by 127 rectangles, f1-f3 and const, S1-S3.
 _RECT_ARRAYS = 9
 # Bytes a solve holds at any size (array headers, front index, closures):
 # tracemalloc measured at most 12.8 KB above the work arrays on m = 1..3,
@@ -440,22 +443,25 @@ def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
     return np.broadcast_to(F, (i1 - i0,) + spec.shape[1:])
 
 
-def _front_rhs(f, spec: GridSpec, xs: np.ndarray):
-    """f on one front of a rolling solve, as a function of the front number
-    d, its _Front fr and its node coordinates x (a tuple of 1-d arrays).
-    xs is the read-only axis coordinate table."""
+def _front_rhs(f, error_fn):
+    """(rhs, fold) of a rolling solve that reads f per front: rhs(d, fr, x)
+    is f on front d, whose _Front is fr and node coordinates x (a tuple of
+    1-d arrays), and fold(linf, d, fr, vals, x) folds error_fn over the
+    front's solved values vals into the running sup linf."""
     if isinstance(f, GridField):
         F = f.values.reshape(-1)
-        return lambda d, fr, x: F[fr.flat]
-    fn = _as_rhs(f)
-    if spec.n == 2:
-        return _band_rhs(fn, spec, xs)
+        rhs = lambda d, fr, x: F[fr.flat]
+    else:
+        fn = _as_rhs(f)
 
-    def rhs(d, fr, x):
-        size = fr.hi - fr.lo
-        fd = np.asarray(fn(x), dtype=np.float64)
-        return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
-    return rhs
+        def rhs(d, fr, x):
+            size = fr.hi - fr.lo
+            fd = np.asarray(fn(x), dtype=np.float64)
+            return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
+
+    def fold(linf, d, fr, vals, x):
+        return float(np.maximum(linf, np.max(error_fn(vals, x))))
+    return rhs, fold
 
 
 def _band_dims(m: int) -> tuple[int, int]:
@@ -463,17 +469,40 @@ def _band_dims(m: int) -> tuple[int, int]:
     return min(_BAND, m + 1), min(_TILE, m + 1)
 
 
-def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
-    """f on the fronts of an n = 2 rolling solve, read from a band of B
-    fronts: band[d - D, i] is f at node (i, d - i), for the fronts d in
+def _strip(A, t: int, B: int) -> np.ndarray:
+    """The skewed diagonal strip of A, broadcast to t by W = t+B-1, as a t
+    by B float64 array: entry (r, k) is A[r, t - 1 - r + k], which is flat
+    entry r*(W - 1) + t - 1 + k, so rows of W - 1 entries from flat entry
+    t - 1 on hold the strip in their first B columns (at t = 1 the strip is
+    A). A view of a C-contiguous t by W array (so writes go through), a
+    copy otherwise."""
+    W = t + B - 1
+    A = np.asarray(A, dtype=np.float64)
+    if A.shape != (t, W):
+        A = np.broadcast_to(A, (t, W))
+    if t == 1:
+        return A
+    return A.reshape(-1)[t - 1:t - 1 + t * (W - 1)].reshape(t, W - 1)[:, :B]
+
+
+def _band_rhs(fn, spec: GridSpec, xs: np.ndarray, error_fn):
+    """(rhs, fold) of _front_rhs for an n = 2 rolling solve, through a band
+    of B fronts: band[d - D, i] is f at node (i, d - i), for the fronts d in
     [D, D + B). Each band is filled from blocks of at most T rows [r0, r1):
     f on the sparse rectangle x[r0:r1] by x[c0:c0 + t + B - 1], with
     t = r1 - r0 and c0 = D - r1 + 1, holds front D + k of row r0 + r at
-    (r, t - 1 - r + k), a skewed diagonal strip that one strided view copies
-    out. So f evaluates its per-axis work on (t + B - 1)-long coordinate
-    vectors instead of on every node. Columns past either end of the axis
-    read the end coordinates, so f sees grid coordinates only; those
-    entries are off the grid and never read."""
+    (r, t - 1 - r + k), a skewed diagonal strip (_strip). So f evaluates its
+    per-axis work on (t + B - 1)-long coordinate vectors instead of on every
+    node. Columns past either end of the axis read the end coordinates, so
+    f sees grid coordinates only; those entries are off the grid.
+
+    Once front d has read its rhs row, fold writes its solved values over
+    that row, and when the band's last front (or the solve's) is done,
+    folds error_fn over the band on the same rectangles: the band's values
+    sit on each rectangle's strip, every other entry holds 0.0, and so the
+    per-axis work of error_fn runs on coordinate vectors too. Off-grid strip
+    entries are read (as 0.0) but masked out of the max; rectangles wholly
+    inside the grid need no mask. No second band is held."""
     m = spec.m
     B, T = _band_dims(m)
     xpad = np.concatenate((np.full(B - 1, xs[0]), xs, np.full(B - 1, xs[-1])))
@@ -481,25 +510,42 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
     band = np.empty((B, m + 1))
     first = -B  # the band holds the fronts [first, first + B)
 
-    def fill(D):
+    def rects(D):
+        """(r0, t, coordinates) of the rectangles of the band at D."""
         last = min(m, D + B - 1) + 1  # rows [max(0, D - m), last) meet the band
         for r0 in range(max(0, D - m), last, T):
-            r1 = min(r0 + T, last)
-            t = r1 - r0
-            c0 = D - r1 + B  # D - r1 + 1 on the axis, shifted by the padding
-            F = np.asarray(fn((xs[r0:r1, None], xpad[None, c0:c0 + t + B - 1])),
-                           dtype=np.float64)
-            F = np.broadcast_to(F, (t, t + B - 1))
-            s0, s1 = F.strides
-            band[:, r0:r1] = as_strided(F[:, t - 1:], (t, B), (s0 - s1, s1)).T
+            t = min(T, last - r0)
+            c0 = D - r0 - t + B  # D - r1 + 1 on the axis, shifted by the padding
+            yield r0, t, (xs[r0:r0 + t, None], xpad[None, c0:c0 + t + B - 1])
 
     def rhs(d, fr, x):
         nonlocal first
         if d >= first + B:
             first = d
-            fill(d)
+            for r0, t, X in rects(d):
+                band[:, r0:r0 + t] = _strip(fn(X), t, B).T
         return band[d - first, fr.lo:fr.hi]
-    return rhs
+
+    def fold(linf, d, fr, vals, x):
+        band[d - first, fr.lo:fr.hi] = vals  # the engine's fd and fs, views
+        # of this row, are read no more
+        if d - first < B - 1 and d < 2 * m:
+            return linf
+        for r0, t, X in rects(first):
+            # strip entry (r, k) is node (r0 + r, j) with j = first - r0 + k - r
+            on = None
+            if first - r0 - t + 1 < 0 or first - r0 + B - 1 > m:
+                j = (first - r0) + np.arange(B) - np.arange(t)[:, None]
+                on = (j >= 0) & (j <= m)  # fronts past 2m have j > m
+            V = np.zeros((t, t + B - 1))
+            S = band[:, r0:r0 + t].T
+            _strip(V, t, B)[...] = S if on is None else np.where(on, S, 0.0)
+            E = _strip(error_fn(V, X), t, B)
+            worst = (np.max(E) if on is None
+                     else np.max(E, where=on, initial=-math.inf))
+            linf = float(np.maximum(linf, worst))
+        return linf
+    return rhs, fold
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +784,18 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
     nheads = R ** (n - 1)
     prev = np.zeros(1 + nheads)  # a fixed 0, then front d-1 by head position
     out = np.zeros(nheads if rolling else R * nheads)
-    if rolling:
-        rhs = _front_rhs(f, spec, xs)
+    banded = rolling and n == 2 and not isinstance(f, GridField)
+    if banded:
+        rhs, fold = _band_rhs(_as_rhs(f), spec, xs, error_fn)
+    elif rolling:
+        rhs, fold = _front_rhs(f, error_fn)
     else:
         field = out.reshape(spec.shape)
         for i0, i1, x in _slabs(spec):
             field[i0:i1] = _slab_rhs(f, spec, i0, i1, x)
-    # coordinates per front: the rolling rhs and error, and S3's closed form
-    gather = rolling or (n == 2 and kind is SchemeKind.S3)
+    # coordinates per front: S3's closed form, and the per-front rhs and
+    # error of a rolling solve without a band
+    gather = (n == 2 and kind is SchemeKind.S3) or (rolling and not banded)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
@@ -799,7 +849,7 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
             vals = t
 
         if rolling and error_fn is not None:
-            linf = float(np.maximum(linf, np.max(error_fn(vals, x))))
+            linf = fold(linf, d, fr, vals, x)  # may overwrite fd and fs
         prev[1 + lo:1 + hi] = vals
         out[fr.dest] = vals[fr.src]
 
@@ -829,9 +879,11 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     With storage="full" f is evaluated, and error_fn folded, over i_1-slabs
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
-    retained, both are evaluated per front (f at n = 2 on row blocks of a
-    band of fronts, _band_rhs), and the report carries the final axis-1
-    slab. Either way a callable f and error_fn must be elementwise on
+    retained and the report carries the final axis-1 slab. At n = 2 with a
+    callable or constant f, both are evaluated on row blocks of a band of
+    fronts (_band_rhs): f before the band's fronts are solved, error_fn on
+    their solved values after; otherwise a rolling solve evaluates both per
+    front. Either way a callable f and error_fn must be elementwise on
     broadcastable coordinate arrays, and the two storages agree bit for bit.
     """
     kind = SchemeKind.parse(kind)
@@ -856,8 +908,8 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     (m+1)^(n-1) nodes or one i_1-slab, whichever is larger, plus
     SOLVE_FIXED_BYTES. A rolling solve at n = 2 holds no slab but
     WORK_ARRAYS fronts, the rhs band of B fronts and _RECT_ARRAYS rectangles
-    of T by T+B-1 nodes that fill it (_band_rhs); it is charged the larger
-    of the two."""
+    of T by T+B-1 nodes that fill it or fold the error over it (_band_rhs);
+    it is charged the larger of the two."""
     front = (spec.m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
     work = WORK_ARRAYS * _slab_rows(spec) * front

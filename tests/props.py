@@ -110,6 +110,16 @@ def oracle_solve(spec, kind, f) -> np.ndarray:
     return W
 
 
+def same_report(full, roll):
+    """A rolling solve's report equals the full-storage one, bit for bit:
+    final slab, u-scale error, certificate and bisection counters."""
+    assert np.array_equal(roll.final_slab, full.field.values[-1].reshape(-1))
+    assert roll.linf_error == full.linf_error
+    assert roll.max_band_violation == full.max_band_violation
+    assert (roll.bisect_nodes, roll.bisect_iters_max, roll.bisect_iters_mean) == \
+        (full.bisect_nodes, full.bisect_iters_max, full.bisect_iters_mean)
+
+
 def _vector_root(x, n):
     """x ** (1/n) rounded as NumPy's vectorized power rounds it, which can
     differ from Python's ** in the last bit."""

@@ -7,11 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import _BAND, _Fronts, solve
+from hjsolve.schemes import _BAND, SchemeKind, _Fronts, solve
 from hjsolve.testcases import make_case
 
-from props import field_csv_per_cell
+from props import field_csv_per_cell, same_report
 
 
 def test_spec_validation():
@@ -181,16 +182,16 @@ def _check_front_index(spec):
       for case_name in ("f1", "f2", "f3", "const")),
 ])
 def test_rolling_equals_full_bitwise(n, m, kind, case_name):
+    # the running sup of the raw values, and the u-scale error, whose S2
+    # negative-value check and S3 coordinate product run on the rectangles
+    # of an n = 2 rhs band
     case = make_case(case_name, n)
     spec = GridSpec(n, m)
-    err = lambda vals, xs: np.abs(vals - 0.0)  # running sup of the raw values
-    full = solve(spec, kind, case.f, error_fn=err)
-    roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
-    slab_full = full.field.values[-1].reshape(-1)
-    assert np.array_equal(roll.final_slab, slab_full)
-    assert roll.linf_error == full.linf_error
-    assert roll.max_band_violation == full.max_band_violation
-    assert roll.bisect_nodes == full.bisect_nodes
+    raw = lambda vals, xs: np.abs(vals - 0.0)
+    for err in (raw, u_scale_error_fn(SchemeKind.parse(kind), case)):
+        full = solve(spec, kind, case.f, error_fn=err)
+        roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
+        same_report(full, roll)
 
 
 def test_rolling_equals_full_bitwise_million_nodes():

@@ -2,7 +2,7 @@
 constants, comparison bounds between schemes, residual certificates,
 rejection of invalid right-hand sides, the discrete Lipschitz estimate, and
 the i_1-slab paths of full storage (rhs, error fold, certificate) against
-the per-front paths of rolling storage."""
+the per-front and, at n = 2, per-band paths of rolling storage."""
 
 import math
 import tracemalloc
@@ -20,7 +20,7 @@ from hjsolve.schemes import (_BAND, SOLVE_FIXED_BYTES, WORK_ARRAYS,
 from hjsolve.testcases import make_case
 
 from props import (node_update, oracle_band_solve, oracle_solve,
-                   residual_stats_whole_field, rhs_values)
+                   residual_stats_whole_field, rhs_values, same_report)
 
 BAND_EPS = 1e-12
 
@@ -380,16 +380,9 @@ def test_report_fields_populated():
 
 # ---------------------------------------------------------------------------
 # i_1-slab paths: full storage evaluates f and folds error_fn over slabs,
-# rolling storage per front; residual_stats runs over the same slabs
+# rolling storage per front, or per band of fronts at n = 2; residual_stats
+# runs over the same slabs
 # ---------------------------------------------------------------------------
-
-def _same_report(full, roll):
-    assert np.array_equal(roll.final_slab, full.field.values[-1].reshape(-1))
-    assert roll.linf_error == full.linf_error
-    assert roll.max_band_violation == full.max_band_violation
-    assert (roll.bisect_nodes, roll.bisect_iters_max, roll.bisect_iters_mean) == \
-        (full.bisect_nodes, full.bisect_iters_max, full.bisect_iters_mean)
-
 
 @pytest.mark.parametrize("kind", list(SchemeKind))
 @pytest.mark.parametrize("n,m,case_name", [
@@ -408,7 +401,7 @@ def test_full_and_rolling_agree_bitwise_with_u_scale_error(kind, n, m, case_name
     full = solve(spec, kind, case.f, error_fn=err)
     roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
     assert full.linf_error > 0.0
-    _same_report(full, roll)
+    same_report(full, roll)
 
 
 @pytest.mark.parametrize("slab_nodes", [1, 50, 1 << 40],
@@ -590,9 +583,51 @@ def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
     err = lambda vals, xs: np.abs(vals - np.asarray(xs[-1]))
     full = solve(spec, kind, rhs, error_fn=err)
     roll = solve(spec, kind, rhs, storage="rolling", error_fn=err)
-    _same_report(full, roll)
+    same_report(full, roll)
     f = rhs if callable(rhs) else (lambda xs: rhs)
     assert np.array_equal(full.field.values, oracle_solve(spec, kind, f))
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("node", [
+    (5, 20),                          # front 25, in the first rhs band
+    (100, 60),                        # front 160, in a middle band
+    (100, 0),                         # a face node on a masked rectangle
+    (0, 2 * _BAND + 1),               # the other face, j = m
+    (2 * _BAND, 2 * _BAND + 1),       # front 4B + 1, in the last, partial band
+    (2 * _BAND + 1, 2 * _BAND + 1),   # the corner, the solve's last front
+], ids=["first-band", "middle-band", "face-j0", "face-jm", "last-band", "corner"])
+def test_nan_error_at_one_node_propagates(node, kind):
+    # the error fold keeps every real node in its max, and a nan there
+    # propagates as np.maximum propagates it (no nanmax, no fmax)
+    m = 2 * _BAND + 1
+    spec = GridSpec(2, m)
+
+    def err(vals, xs):
+        hit = (np.asarray(xs[0]) == node[0] / m) & (np.asarray(xs[1]) == node[1] / m)
+        return np.where(hit, np.nan, np.abs(vals))
+
+    for storage in ("full", "rolling"):
+        rep = solve(spec, kind, 1.0, storage=storage, error_fn=err)
+        assert math.isnan(rep.linf_error), storage
+
+
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("m", [1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1])
+def test_error_fold_reads_no_value_off_the_grid(m, kind):
+    # nan wherever 0.0 sits at an interior coordinate: an n = 2 rolling
+    # solve hands error_fn 0.0 off its band's strips and at off-grid strip
+    # entries, while every interior node of the solve is positive
+    spec = GridSpec(2, m)
+
+    def err(vals, xs):
+        inside = (np.asarray(xs[0]) > 0.0) & (np.asarray(xs[1]) > 0.0)
+        return np.where(inside & (vals == 0.0), np.nan, np.abs(vals - xs[1]))
+
+    full = solve(spec, kind, 1.0, error_fn=err)
+    roll = solve(spec, kind, 1.0, storage="rolling", error_fn=err)
+    assert math.isfinite(full.linf_error)
+    same_report(full, roll)
 
 
 @pytest.mark.parametrize("const", [np.float32(1.5), np.int64(2), np.float64(0.25)],
