@@ -21,36 +21,44 @@ compaction of the batch (_band_root).
 
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
-order, each vectorized over its nodes and computed from front d-1 alone. Each
-front is checked for a finite nonnegative right-hand side, folded into the
-residual certificate, and scattered into the full field or, with rolling
-storage, only into the final i_1 = m slab. _Fronts owns the layout: at
-n >= 3 a front is a set of index arrays into the field; at n = 2 it is one
-strided slice of the flat field (nodes i*m + d), and its neighbors and
-coordinates are contiguous slices, so no index array is built. The
-certificate is a max-reduction (_max_violation), which falls back to the
-per-node _violation only where a target is <= 0 or the result is not
-finite. A node whose value, product or target is not finite stops the solve
-with a SolveError naming it.
+order, each vectorized over its nodes and computed from front d-1 alone. The
+engine walks them in blocks of consecutive fronts: each block's right-hand
+side is read and checked (finite, nonnegative) once, its fronts are updated
+in order, its residual is folded into the certificate (at n = 2 in two
+halves, which bounds the temporaries), and its values are written once,
+into the full field or, with rolling storage, only into the final i_1 = m
+slab. At n >= 3 a block is one front, a set of index
+arrays into the field (_Fronts, _FrontWalk). At n = 2 it is up to _BLOCK
+fronts (_BlockWalk): node (i, d - i) is entry i*m + d of the flat field, so
+the block is one strided view of the field, heads by fronts, whose off-grid
+entries lie in two small end triangles that are masked; per front only the
+closed form runs, on slices of a value block that holds the front before
+the block, so no index array is built. The certificate is a max-reduction
+(_max_violation), which falls back to the per-node _violation only where a
+target is <= 0 or the result is not finite. A node whose rhs is invalid, or
+whose value, product or target is not finite, stops the solve with a
+SolveError naming the first such node in front order (by front, then by
+head); a non-finite value stops it at its own front.
 
 Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
 sliced on axis 0). With full storage the right-hand side is written into the
-output field slab by slab before the pass, each front reads its rhs from
+output field slab by slab before the pass, each block reads its rhs from
 there, and the error is folded over the same slabs after the pass. Rolling
-storage at n >= 3, or with a GridField rhs, reads f and folds the error per
-front. At n = 2 a rolling solve with a callable or constant f reads it from
-a band of B fronts (_band_rhs), filled on sparse rectangles of at most T
-rows by T+B-1 columns whose skewed diagonal strips hold the band's nodes;
-each front then writes its solved values over its rhs row, and the error
-is folded once per band on the same rectangles. So the per-axis work of f
-and error_fn runs on coordinate vectors, for O(B*(m+1)) extra memory and
-no second band. residual_stats runs over the same slabs as full storage:
-each is copied into one buffer, zero-padded on the low face of every axis,
-whose shifted views are the backward neighbors for all three schemes, and
-the S1/S2 zero boundary is checked once, on the n faces of the field. So a
-callable f and an error_fn must be elementwise on broadcastable coordinate
-arrays: the value at a node may not depend on how nodes are batched.
+storage at n >= 3 reads f and folds the error per front. At n = 2 a rolling
+solve reads a GridField through the same strided view as full storage, and
+a callable or constant f from a band of B fronts (_band_rhs), filled on
+sparse rectangles of at most T rows by T+B-1 columns whose skewed diagonal
+strips hold the band's nodes; for every rhs each block then writes its
+solved values over its rows of the band, and the error is folded once per
+band on the same rectangles. So the per-axis work of f and error_fn runs on
+coordinate vectors, for O(B*(m+1)) extra memory and no second band.
+residual_stats runs over the same slabs as full storage: each is copied
+into one buffer, zero-padded on the low face of every axis, whose shifted
+views are the backward neighbors for all three schemes, and the S1/S2 zero
+boundary is checked once, on the n faces of the field. So a callable f and
+an error_fn must be elementwise on broadcastable coordinate arrays: the
+value at a node may not depend on how nodes are batched.
 """
 
 from __future__ import annotations
@@ -70,12 +78,22 @@ _SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
 _COMPACT = 0.5  # gather the bisection batch once at most this share is live
 _BAND = 64  # fronts per rhs band of an n = 2 rolling solve (_band_rhs)
 _TILE = 64  # rows per rectangle that fills the band
+_BLOCK = 16  # fronts per block of an n = 2 solve (_BlockWalk)
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
 # unit (working_set_bytes): the front index, the per-front gathers, updates
 # and certificate, and the slab-wise rhs and error. tracemalloc measured at
 # most 47 on cases f1-f3 with the u-scale error, n = 2..6, either storage
 # (34-42 at n = 3, 4 once a slab is one row).
 WORK_ARRAYS = 56
+# Peak traced bytes of the n = 2 pass beyond the field and the rolling band
+# and rectangles, in float64 arrays of one block, K by m+2: U, the rhs block,
+# the certificate's temporaries on half a block and the closed form's on one
+# front. tracemalloc measured at most 5.05 at m = 300 and 1000 (5.7-8.1 at
+# m = 15..64, where the fixed bytes take the rest), f1-f3 and const with and
+# without the u-scale error, S1-S3, callable and GridField rhs, either
+# storage; the most is f1, whose zero rhs sends S3's certificate to
+# _violation.
+_BLOCK_ARRAYS = 6
 # Rectangles of one band fill or error fold (_band_rhs) alive at once,
 # counting f's and error_fn's results: tracemalloc measured at most 7.2 for
 # the fill (f3) and 8.6 for the fold (the u-scale error of f3, S2 and S3) on
@@ -206,8 +224,10 @@ def _pow_int(base: float, exponent: int) -> float:
 
 
 def _scaled_rhs(kind, f, h, n):
-    """The right-hand side b of the node equation: h^n f for S1/S2, f for S3."""
-    return f if kind is SchemeKind.S3 else _pow_int(h, n) * f
+    """The right-hand side b of the node equation: h^n f for S1/S2, f for
+    S3. h^n f is C-contiguous even where f is a strided view, so the
+    residual's arithmetic meets no mixed layouts, which NumPy buffers."""
+    return f if kind is SchemeKind.S3 else np.multiply(_pow_int(h, n), f, order="C")
 
 
 def _residual(kind, t, A, C, b, n, clip=True):
@@ -444,22 +464,22 @@ def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
 
 
 def _front_rhs(f, error_fn):
-    """(rhs, fold) of a rolling solve that reads f per front: rhs(d, fr, x)
-    is f on front d, whose _Front is fr and node coordinates x (a tuple of
-    1-d arrays), and fold(linf, d, fr, vals, x) folds error_fn over the
+    """(rhs, fold) of a rolling solve at n >= 3, which reads f per front:
+    rhs(fr, x) is f on the front whose _Front is fr and node coordinates x
+    (a tuple of 1-d arrays), and fold(linf, vals, x) folds error_fn over the
     front's solved values vals into the running sup linf."""
     if isinstance(f, GridField):
         F = f.values.reshape(-1)
-        rhs = lambda d, fr, x: F[fr.flat]
+        rhs = lambda fr, x: F[fr.flat]
     else:
         fn = _as_rhs(f)
 
-        def rhs(d, fr, x):
+        def rhs(fr, x):
             size = fr.hi - fr.lo
             fd = np.asarray(fn(x), dtype=np.float64)
             return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
 
-    def fold(linf, d, fr, vals, x):
+    def fold(linf, vals, x):
         return float(np.maximum(linf, np.max(error_fn(vals, x))))
     return rhs, fold
 
@@ -486,23 +506,27 @@ def _strip(A, t: int, B: int) -> np.ndarray:
 
 
 def _band_rhs(fn, spec: GridSpec, xs: np.ndarray, error_fn):
-    """(rhs, fold) of _front_rhs for an n = 2 rolling solve, through a band
-    of B fronts: band[d - D, i] is f at node (i, d - i), for the fronts d in
-    [D, D + B). Each band is filled from blocks of at most T rows [r0, r1):
-    f on the sparse rectangle x[r0:r1] by x[c0:c0 + t + B - 1], with
-    t = r1 - r0 and c0 = D - r1 + 1, holds front D + k of row r0 + r at
+    """(rows, fold) of an n = 2 rolling solve, through a band of B fronts:
+    band[d - D, i] is f at node (i, d - i), for the fronts d in [D, D + B).
+    rows(d0, d1) is the band's rows of the fronts [d0, d1), which lie in one
+    band; at d0 = D + B the band moves on to the next B fronts, and a
+    callable fn fills it. Each band is filled from blocks of at most T rows
+    [r0, r1): f on the sparse rectangle x[r0:r1] by x[c0:c0 + t + B - 1],
+    with t = r1 - r0 and c0 = D - r1 + 1, holds front D + k of row r0 + r at
     (r, t - 1 - r + k), a skewed diagonal strip (_strip). So f evaluates its
     per-axis work on (t + B - 1)-long coordinate vectors instead of on every
     node. Columns past either end of the axis read the end coordinates, so
-    f sees grid coordinates only; those entries are off the grid.
+    f sees grid coordinates only; those entries are off the grid. With
+    fn None (a GridField rhs) the band holds only the solved values.
 
-    Once front d has read its rhs row, fold writes its solved values over
-    that row, and when the band's last front (or the solve's) is done,
-    folds error_fn over the band on the same rectangles: the band's values
-    sit on each rectangle's strip, every other entry holds 0.0, and so the
-    per-axis work of error_fn runs on coordinate vectors too. Off-grid strip
-    entries are read (as 0.0) but masked out of the max; rectangles wholly
-    inside the grid need no mask. No second band is held."""
+    fold(linf, d0, d1, lo, hi, vals) writes the solved values of the fronts
+    [d0, d1), heads [lo, hi), over their rows once the rhs there is read no
+    more, and when the band's last front (or the solve's) is done, folds
+    error_fn over the band on the same rectangles: the band's values sit on
+    each rectangle's strip, every other entry holds 0.0, and so the per-axis
+    work of error_fn runs on coordinate vectors too. Off-grid strip entries
+    are read (as 0.0) but masked out of the max; rectangles wholly inside
+    the grid need no mask. No second band is held."""
     m = spec.m
     B, T = _band_dims(m)
     xpad = np.concatenate((np.full(B - 1, xs[0]), xs, np.full(B - 1, xs[-1])))
@@ -518,18 +542,18 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray, error_fn):
             c0 = D - r0 - t + B  # D - r1 + 1 on the axis, shifted by the padding
             yield r0, t, (xs[r0:r0 + t, None], xpad[None, c0:c0 + t + B - 1])
 
-    def rhs(d, fr, x):
+    def rows(d0, d1):
         nonlocal first
-        if d >= first + B:
-            first = d
-            for r0, t, X in rects(d):
-                band[:, r0:r0 + t] = _strip(fn(X), t, B).T
-        return band[d - first, fr.lo:fr.hi]
+        if d0 >= first + B:
+            first = d0
+            if fn is not None:
+                for r0, t, X in rects(d0):
+                    band[:, r0:r0 + t] = _strip(fn(X), t, B).T
+        return band[d0 - first:d1 - first]
 
-    def fold(linf, d, fr, vals, x):
-        band[d - first, fr.lo:fr.hi] = vals  # the engine's fd and fs, views
-        # of this row, are read no more
-        if d - first < B - 1 and d < 2 * m:
+    def fold(linf, d0, d1, lo, hi, vals):
+        band[d0 - first:d1 - first, lo:hi] = vals
+        if d1 - first < B and d1 <= 2 * m:
             return linf
         for r0, t, X in rects(first):
             # strip entry (r, k) is node (r0 + r, j) with j = first - r0 + k - r
@@ -545,7 +569,7 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray, error_fn):
                      else np.max(E, where=on, initial=-math.inf))
             linf = float(np.maximum(linf, worst))
         return linf
-    return rhs, fold
+    return rows, fold
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +580,16 @@ def _violation(product, target, band):
     """Per node, how far the residual product falls outside
     [target, (1+band)*target], relative to target; absolute where
     target == 0; infinite where the product or target is not finite. It
-    names the offending node; _max_violation reduces it."""
-    out = np.where(target > 0.0,
-                   np.maximum(np.maximum(target - product,
-                                         product - (1.0 + band) * target), 0.0)
-                   / np.where(target > 0.0, target, 1.0),
-                   product)
+    names the offending node; _max_violation reduces it. The invalid
+    operations of non-finite inputs (inf - inf) raise no warning, as their
+    results are replaced by inf."""
+    with np.errstate(invalid="ignore"):
+        out = np.where(target > 0.0,
+                       np.maximum(np.maximum(target - product,
+                                             product - (1.0 + band) * target),
+                                  0.0)
+                       / np.where(target > 0.0, target, 1.0),
+                       product)
     return np.where(np.isfinite(product) & np.isfinite(target), out, math.inf)
 
 
@@ -573,11 +601,12 @@ def _max_violation(product, target, band) -> float:
     0.0, with a few temporaries: max(a, 0)/t == max(a/t, 0) for t > 0, and
     0.0 goes first into the clip so that a -0.0 never leaks. Otherwise (a
     target <= 0, or a result that is not finite: nan fails < inf) it falls
-    back to _violation itself. The engine runs it once per front,
+    back to _violation itself. The engine runs it once per block of fronts,
     residual_stats once per face and once per slab."""
     if product.size and np.minimum.reduce(target, axis=None) > 0.0:
         a = target - product
-        np.maximum(a, product - (1.0 + band) * target, out=a)
+        b = (1.0 + band) * target
+        np.maximum(a, np.subtract(product, b, out=b), out=a)
         a /= target
         worst = float(np.maximum.reduce(a, axis=None))
         if worst < math.inf:
@@ -666,14 +695,14 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 class _Front(NamedTuple):
-    """Front d of _Fronts.front: index arrays at n >= 3, slices at n = 2."""
+    """Front d of _Fronts.front, as index arrays."""
 
     lo: int  # head positions [lo, hi)
     hi: int
-    flat: object  # the nodes' positions in the flat field
+    flat: np.ndarray  # the nodes' positions in the flat field
     heads: list  # per head axis, the nodes' indices into an axis table
-    tail: object  # the nodes' indices into the reversed last-axis table
-    inner: object  # the S1/S2 update batch: inner nodes, within the front
+    tail: np.ndarray  # the nodes' indices into the reversed last-axis table
+    inner: np.ndarray  # the S1/S2 update batch: inner nodes, within the front
     dest: object  # where vals[src] lands in the engine's output
     src: object
 
@@ -687,13 +716,8 @@ class _Fronts:
     sits at position back[j], along the last axis at the same position, both
     on front d-1. Where i_j = 0 (or the last index is 0) that position holds
     some finite value of the wrong node: S1/S2 gather inner nodes only, and
-    S3 weights it by c_j = n*i_j = 0, so it drops out exactly.
-
-    At n = 2 the head is i_1 itself, so front d is the nodes i*m + d of the
-    flat field for i in [lo, hi), and front() hands out slices: one strided
-    slice of the field, contiguous slices of the axis tables and of the
-    previous front, and one contiguous range of inner nodes. The previous
-    front is kept behind one fixed 0 (neighbors), which i_1 = 0 reads.
+    S3 weights it by c_j = n*i_j = 0, so it drops out exactly. The engine
+    walks this index at n >= 3 (_FrontWalk); n = 2 needs none (_BlockWalk).
     """
 
     def __init__(self, spec: GridSpec, rolling: bool = False):
@@ -729,17 +753,6 @@ class _Fronts:
         """Front d. Its output goes to the flat field, or with rolling to
         the final i_1 = m slab (dest, for the front's nodes src)."""
         m = self.m
-        if self.n == 2:  # heads i in [lo, hi), last index d - i
-            lo, hi = max(0, d - m), min(d, m) + 1
-            flat = slice(lo * m + d, (hi - 1) * m + d + 1, m)
-            heads = [slice(lo, hi)]
-            tail = slice(m - d + lo, m - d + hi)
-            inner = slice(max(lo, 1) - lo, min(hi, d) - lo)  # i, d - i >= 1
-            if not self.rolling:
-                return _Front(lo, hi, flat, heads, tail, inner, flat, slice(None))
-            k = int(hi == m + 1)  # the last head, i_1 = m, if on the front
-            return _Front(lo, hi, flat, heads, tail, inner,
-                          slice(d - m, d - m + k), slice(hi - lo - k, hi - lo))
         lo, hi = self.span(d)
         s = self.sum[lo:hi]
         flat = self.row[lo:hi] * (m + 1) + (d - s)
@@ -756,104 +769,329 @@ class _Fronts:
         """The n backward neighbors, in axis order, of the nodes sel of the
         front whose heads are [lo, hi). prev holds front d-1 by head
         position behind one fixed 0: head p at prev[p + 1]."""
-        cur = prev[1 + lo:1 + hi]
-        if self.n == 2:  # prev[p] is head p-1, or the fixed 0 for p = 0
-            return [prev[lo:hi][sel], cur[sel]]
-        return [prev[1:][b[lo:hi][sel]] for b in self.back] + [cur[sel]]
+        return ([prev[1:][b[lo:hi][sel]] for b in self.back]
+                + [prev[1 + lo:1 + hi][sel]])
 
 
 def _axis_tables(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A table over one axis's indices and its reversed copy, both
-    read-only, since the n = 2 front views of them go to f and error_fn."""
+    read-only, since views of them go to f and error_fn."""
     rev = table[::-1].copy()
     table.flags.writeable = rev.flags.writeable = False
     return table, rev
 
 
+class _FrontWalk:
+    """The engine's steps at n >= 3 (_solve_fronts), where a block is one
+    front of _Fronts: read its rhs from the field or per front, update it
+    by bisection from front d-1 (prev, by head position behind one fixed
+    0), and write it to the field or the final slab."""
+
+    def __init__(self, spec, kind, f, out, rolling, error_fn):
+        n, m = spec.n, spec.m
+        self.spec, self.kind, self.out = spec, kind, out
+        self.rolling, self.error_fn = rolling, error_fn
+        self.fronts = _Fronts(spec, rolling)
+        self.prev = np.zeros(1 + (m + 1) ** (n - 1))
+        self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
+        self.cw, self.cw_rev = _axis_tables(n * np.arange(m + 1.0))  # S3 c_i
+        if rolling:
+            self.rhs, self.fold = _front_rhs(f, error_fn)
+
+    def spans(self):
+        return ((d, d + 1) for d in range(self.spec.n * self.spec.m + 1))
+
+    def read(self, d0, d1):
+        """The rhs of front d0, contiguous; node() names its entries."""
+        fr = self.fr = self.fronts.front(d0)
+        self.d, self.sel = d0, slice(None)
+        if not self.rolling:
+            return self.out[fr.flat]
+        self.x = (tuple(self.xs[i] for i in fr.heads)
+                  + (self.xs_rev[fr.tail],))  # f's and error_fn's coordinates
+        return np.ascontiguousarray(self.rhs(fr, self.x))
+
+    def update(self, F, stats):
+        """Solve the front by bisection; yield the certificate's inputs
+        (t, A, C, f, True): its update batch and their values."""
+        spec, kind, fr = self.spec, self.kind, self.fr
+        C = None
+        if kind.has_boundary_condition:
+            self.sel = fr.inner
+        else:
+            C = [self.cw[i] for i in fr.heads] + [self.cw_rev[fr.tail]]
+        fs = F[self.sel]
+        A = self.fronts.neighbors(self.prev, fr.lo, fr.hi, self.sel)
+        try:
+            self.t = _update_vec(kind, A, C, fs, spec.h, spec.n, stats)
+        except BisectionCapError as exc:
+            bad = self.node(int(exc.local_indices[0]))
+            raise SolveError(f"{exc} (first at node {bad})",
+                             multi_index=bad) from exc
+        yield self.t, A, C, fs, True
+
+    def node(self, k):
+        """Multi-index of entry k of the rhs, or of the update batch once
+        update() has run."""
+        fr = self.fr
+        return self.fronts.node(fr.lo + int(np.arange(fr.hi - fr.lo)[self.sel][k]),
+                                self.d)
+
+    def mask(self, product, target):
+        """Every entry of the batch is a node: nothing to mask."""
+
+    def write(self, linf):
+        fr = self.fr
+        if self.kind.has_boundary_condition:
+            vals = np.zeros(fr.hi - fr.lo)
+            vals[self.sel] = self.t
+        else:
+            vals = self.t
+        if self.rolling and self.error_fn is not None:
+            linf = self.fold(linf, vals, self.x)
+        self.prev[1 + fr.lo:1 + fr.hi] = vals
+        self.out[fr.dest] = vals[fr.src]
+        return linf
+
+
+def _window(P, s, mask, value):
+    """Set P[k, s + c] to value (a scalar, or an array shaped like P, read
+    at the same entry) where mask[k, c], over the columns of P that the
+    window [s, s + mask.shape[1]) covers."""
+    a, b = max(s, 0), min(s + mask.shape[1], P.shape[1])
+    if a < b:
+        np.copyto(P[:, a:b], value if np.isscalar(value) else value[:, a:b],
+                  where=mask[:, a - s:b - s])
+
+
+class _BlockWalk:
+    """The engine's steps at n = 2 (_solve_fronts), where a block is up to
+    K = min(_BLOCK, m + 1) consecutive fronts [d0, d1) and never crosses a
+    band of _band_rhs. Front d holds the heads i in [max(0, d - m),
+    min(d, m)], node (i, d - i), which is entry i*m + d of the flat field.
+    So the heads [lo, hi) by fronts of a block are one strided view of the
+    field with strides (m, 1) entries (_view): one copy reads the block's
+    rhs, and three write its values back. The view's off-grid entries,
+    i > d (j < 0) or i < d - m (j > m), alias other nodes: they lie in two
+    end triangles of at most K by K entries, which the block masks on its
+    own arrays with K by K triangular masks (_window): 0.0 in the rhs, so
+    they pass its check, and 1.0 in the certificate's product and target,
+    which gives them no violation. The field's own entries there keep their
+    values.
+
+    U holds the values, K+1 rows by heads behind one fixed 0: row 0 is
+    front d0 - 1, row k + 1 front d0 + k, head i at column i + 1. So the
+    backward neighbors of heads [a, b) of row k + 1 are the slices
+    U[k, a:b] and U[k, a + 1:b + 1]. S1/S2 update inner nodes only; their
+    boundary entries keep U's initial 0, since a row's column i + 1 is
+    written only by the fronts after i. Off-grid entries of U hold finite
+    values (S3 weights them by 0). A rolling solve reads a callable f from
+    the band's rows, a GridField through the same view of its values; it
+    copies U's rows into the band for the error fold and U's last column
+    into the final slab."""
+
+    def __init__(self, spec, kind, f, out, rolling, error_fn):
+        m = spec.m
+        K = self.K = min(_BLOCK, m + 1)
+        self.spec, self.kind, self.out = spec, kind, out
+        self.rolling, self.error_fn = rolling, error_fn
+        self.U = np.zeros((K + 1, m + 2))
+        self.ge = np.triu(np.ones((K, K), dtype=bool))  # entries c >= k
+        self.lt = ~self.ge
+        self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
+        if kind is SchemeKind.S3:
+            self.cw = 2.0 * np.arange(m + 1)  # c_1 = 2 i
+            # c_2 = 2 j, for j in [-K, m + K]: _skew reads it by front and head
+            self.cpad = 2.0 * np.arange(-K, m + 1 + K)
+            self.cpad.flags.writeable = False
+        self.band_rows = None
+        if rolling and (error_fn is not None or not isinstance(f, GridField)):
+            self.band_rows, self.fold = _band_rhs(
+                None if isinstance(f, GridField) else _as_rhs(f), spec,
+                self.xs, error_fn)
+        self.src = None
+        if not rolling:
+            self.src = out
+        elif isinstance(f, GridField):
+            self.src = f.values.reshape(-1)
+        if self.src is not None:
+            self.G = np.empty((m + 1, K))  # the rhs, by heads and fronts
+
+    def spans(self):
+        N = 2 * self.spec.m + 1
+        B = _band_dims(self.spec.m)[0]
+        for D in range(0, N, B):
+            for d0 in range(D, min(D + B, N), self.K):
+                yield d0, min(d0 + self.K, D + B, N)
+
+    def _heads(self, d0, d1):
+        """Heads [lo, hi) of the fronts [d0, d1)."""
+        m = self.spec.m
+        return max(0, d0 - m), min(d1 - 1, m) + 1
+
+    def _view(self, src):
+        """The block's heads by fronts in the flat field src: entry (c, k)
+        is src[(lo + c)*m + d0 + k]. NumPy checks that it stays inside."""
+        m, lo, s = self.spec.m, self.lo, src.itemsize
+        return np.ndarray((self.hi - lo, self.d1 - self.d0), np.float64, src,
+                          (lo * m + self.d0) * s, (m * s, s))
+
+    def read(self, d0, d1):
+        """The rhs of the fronts [d0, d1) by heads [lo, hi), 0.0 off the
+        grid; node() names its entries."""
+        self.d0, self.d1 = d0, d1
+        lo, hi = self.lo, self.hi = self._heads(d0, d1)
+        self.p0, self.c0, self.ph = d0, lo, hi
+        if self.band_rows is not None:
+            rows = self.band_rows(d0, d1)
+        if self.src is None:
+            F = rows[:, lo:hi]
+        else:  # copied in the view's order: its rows are runs of the field
+            G = self.G[:hi - lo, :d1 - d0]
+            np.copyto(G, self._view(self.src))
+            F = G.T
+        self._off_grid(F, d0, lo, 0, 0.0)
+        return F
+
+    def _off_grid(self, P, p0, c0, j0, value):
+        """Set the entries of P, by the fronts from p0 and heads from c0, to
+        value where j > m or j < j0."""
+        r = P.shape[0]
+        _window(P, p0 - self.spec.m - c0, self.lt[:r, :r], value)  # j > m
+        _window(P, p0 + 1 - j0 - c0, self.ge[:r, :r], value)  # j < j0
+
+    def node(self, k):
+        """Multi-index of entry k, row-major, of the fronts from p0 by the
+        heads [c0, ph): those of the rhs, or of the certificate's piece."""
+        r, c = divmod(k, self.ph - self.c0)
+        return (self.c0 + c, self.p0 + r - self.c0 - c)
+
+    def update(self, F, stats):
+        """Solve the block's fronts in order by their closed forms, straight
+        into U, until one holds a value that is not finite; then yield the
+        certificate's inputs (t, A, C, f, finite) over the fronts solved, in
+        pieces of at most K/2 fronts by their heads [c0, ph) (the inner ones
+        for S1/S2), which bounds its temporaries."""
+        spec, kind, U = self.spec, self.kind, self.U
+        m, h, d0, lo = spec.m, spec.h, self.d0, self.lo
+        bc = kind.has_boundary_condition
+        s3 = kind is SchemeKind.S3
+        xs, xs_rev = self.xs, self.xs_rev
+        rows, finite = self.d1 - d0, True
+        for k in range(rows):
+            d = d0 + k
+            a, b = max(0, d - m), min(d, m) + 1
+            if bc:  # inner nodes: i >= 1 and d - i >= 1
+                a, b = max(a, 1), min(b, d)
+            t = _closed(kind, (U[k, a:b], U[k, a + 1:b + 1]),
+                        (xs[a:b], xs_rev[m - d + a:m - d + b]) if s3 else None,
+                        F[k, a - lo:b - lo], h)
+            U[k + 1, a + 1:b + 1] = t
+            if not np.maximum.reduce(t, initial=0.0) < math.inf:
+                rows, finite = k + 1, False  # no later front runs
+                break
+        step = max(1, self.K // 2)
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            p0 = self.p0 = d0 + r0
+            c0, hi = self._heads(p0, d0 + r1)
+            c0 = self.c0 = max(c0, 1) if bc else c0
+            self.ph = hi
+            C = [self.cw[c0:hi], self._skew(p0, c0, r1 - r0, hi)] if s3 else None
+            yield (U[r0 + 1:r1 + 1, c0 + 1:hi + 1],
+                   [U[r0:r1, c0:hi], U[r0:r1, c0 + 1:hi + 1]], C,
+                   F[r0:r1, c0 - lo:hi - lo], finite or r1 < rows)
+
+    def _skew(self, p0, c0, rows, hi):
+        """S3's c_2 = 2 j by the fronts from p0 and heads [c0, hi): entry
+        (k, c) is cpad[K + p0 + k - c0 - c], a view with strides (1, -1)."""
+        s = self.cpad.itemsize
+        return np.ndarray((rows, hi - c0), np.float64, self.cpad,
+                          (self.K + p0 - c0) * s, (s, -s))
+
+    def mask(self, product, target):
+        """1.0 off the grid, and for S1/S2 on the j = 0 face: no violation."""
+        j0 = 1 if self.kind.has_boundary_condition else 0
+        self._off_grid(product, self.p0, self.c0, j0, 1.0)
+        self._off_grid(target, self.p0, self.c0, j0, 1.0)
+
+    def write(self, linf):
+        d0, d1, lo, hi, m = self.d0, self.d1, self.lo, self.hi, self.spec.m
+        K1, U = d1 - d0, self.U
+        S = U[1:K1 + 1, lo + 1:hi + 1]
+        if not self.rolling:
+            V = self._view(self.out).T
+            s, u = d0 - m - lo, d0 + 1 - lo
+            _window(V, s, self.ge[:K1, :K1], S)  # on the grid: i >= d0 + k - m
+            V[:, max(s + K1, 0):u] = S[:, max(s + K1, 0):u]
+            _window(V, u, self.lt[:K1, :K1], S)  # on the grid: i <= d0 + k
+        else:
+            if self.error_fn is not None:
+                linf = self.fold(linf, d0, d1, lo, hi, S)
+            if d1 > m:  # the fronts' last heads, i = m
+                k = max(d0, m) - d0
+                self.out[d0 + k - m:d1 - m] = U[1 + k:K1 + 1, m + 1]
+        U[0] = U[K1]
+        return linf
+
+
+def _fill_rhs(field, f, spec: GridSpec) -> None:
+    """Write f into the field slab by slab (_slabs); no slab outlives it."""
+    for i0, i1, x in _slabs(spec):
+        field[i0:i1] = _slab_rhs(f, spec, i0, i1, x)
+
+
+def _certify(kind, walk, t, A, C, f, finite, h, n) -> float:
+    """The largest band violation of the update batch whose values are t,
+    neighbors A, S3 weights C and rhs f, with walk's entries off the grid
+    masked out; a batch that is not finite, or whose violation is
+    infinite, raises SolveError naming its first offending node in front
+    order. Its temporaries go when it returns."""
+    residual = _residual(kind, t, A, C, _scaled_rhs(kind, f, h, n), n)
+    walk.mask(*residual)
+    worst = _max_violation(*residual, h) if finite else math.inf
+    if worst == math.inf:
+        bad = walk.node(int(np.argmax(_violation(*residual, h))))
+        raise SolveError(f"non-finite value, product or target at node {bad}",
+                         multi_index=bad)
+    return worst
+
+
 def _solve_fronts(spec, kind, f, rolling, error_fn):
-    """Single pass over the fronts d = 0..n*m. Only front d-1 is kept to
-    compute front d; each front is scattered into the full field, or with
-    rolling storage only into the final i_1 = m slab. With full storage the
-    field holds the rhs until a front overwrites it with its solution."""
+    """Single pass over the fronts d = 0..n*m, in blocks of consecutive
+    fronts: K of them at n = 2 (_BlockWalk), one at n >= 3 (_FrontWalk).
+    Each block's rhs is checked once, its fronts are solved in order, each
+    from the one before, its residual is certified (_certify, at n = 2 in
+    two halves), and its values go to the full field or, with rolling
+    storage, only into the final i_1 = m slab. With full storage the field
+    holds the rhs until a block overwrites it with its solution."""
     n, m, h = spec.n, spec.m, spec.h
-    R = m + 1
     _check_rhs_spec(f, spec)
-    fronts = _Fronts(spec, rolling)
-    xs, xs_rev = _axis_tables(spec.axis_coords())
-    cw, cw_rev = _axis_tables(n * np.arange(R, dtype=np.float64))  # S3 c_i
-    nheads = R ** (n - 1)
-    prev = np.zeros(1 + nheads)  # a fixed 0, then front d-1 by head position
-    out = np.zeros(nheads if rolling else R * nheads)
-    banded = rolling and n == 2 and not isinstance(f, GridField)
-    if banded:
-        rhs, fold = _band_rhs(_as_rhs(f), spec, xs, error_fn)
-    elif rolling:
-        rhs, fold = _front_rhs(f, error_fn)
-    else:
-        field = out.reshape(spec.shape)
-        for i0, i1, x in _slabs(spec):
-            field[i0:i1] = _slab_rhs(f, spec, i0, i1, x)
-    # coordinates per front: S3's closed form, and the per-front rhs and
-    # error of a rolling solve without a band
-    gather = (n == 2 and kind is SchemeKind.S3) or (rolling and not banded)
+    out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
+    if not rolling:
+        _fill_rhs(out.reshape(spec.shape), f, spec)
+    walk = (_BlockWalk if n == 2 else _FrontWalk)(spec, kind, f, out, rolling,
+                                                  error_fn)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
 
-    for d in range(n * m + 1):
-        fr = fronts.front(d)
-        lo, hi = fr.lo, fr.hi
-        x = (tuple(xs[i] for i in fr.heads) + (xs_rev[fr.tail],)
-             if gather else None)
-        # the front's rhs, contiguous: at n = 2 full storage copies a strided
-        # view of the field, and rolling storage reads a row of the band
-        fd = np.ascontiguousarray(rhs(d, fr, x) if rolling else out[fr.flat])
-        if not (np.minimum.reduce(fd, initial=0.0) >= 0.0
-                and np.maximum.reduce(fd, initial=0.0) < math.inf):
-            k = int(np.argmin(np.isfinite(fd) & (fd >= 0.0)))
-            node = fronts.node(lo + k, d)
-            raise SolveError(f"invalid right-hand side f={fd[k]} at node {node}",
+    for d0, d1 in walk.spans():
+        F = walk.read(d0, d1)
+        if not (np.minimum.reduce(F, axis=None, initial=0.0) >= 0.0
+                and np.maximum.reduce(F, axis=None, initial=0.0) < math.inf):
+            k = int(np.argmin(np.isfinite(F) & (F >= 0.0)))
+            node = walk.node(k)
+            raise SolveError(f"invalid right-hand side f={F.flat[k]} at node {node}",
                              multi_index=node)
-
-        if kind.has_boundary_condition:
-            sel = fr.inner
-            C = None
-        else:
-            sel = slice(None)
-            C = [cw[i] for i in fr.heads] + [cw_rev[fr.tail]]
-        fs = fd[sel]
-        A = fronts.neighbors(prev, lo, hi, sel)
-
-        def node(k):
-            """Multi-index of entry k of the update batch."""
-            return fronts.node(lo + int(np.arange(hi - lo)[sel][k]), d)
-
-        try:
-            t = (_closed(kind, A, x, fs, h) if n == 2
-                 else _update_vec(kind, A, C, fs, h, n, stats))
-        except BisectionCapError as exc:
-            bad = node(int(exc.local_indices[0]))
-            raise SolveError(f"{exc} (first at node {bad})",
-                             multi_index=bad) from exc
-        residual = _residual(kind, t, A, C, _scaled_rhs(kind, fs, h, n), n)
-        worst = _max_violation(*residual, h)
-        if worst == math.inf:
-            bad = node(int(np.argmax(_violation(*residual, h))))
-            raise SolveError(f"non-finite value, product or target at node {bad}",
-                             multi_index=bad)
-        cert = max(cert, worst)
-        if kind.has_boundary_condition:
-            vals = np.zeros(hi - lo)
-            vals[sel] = t
-        else:
-            vals = t
-
-        if rolling and error_fn is not None:
-            linf = fold(linf, d, fr, vals, x)  # may overwrite fd and fs
-        prev[1 + lo:1 + hi] = vals
-        out[fr.dest] = vals[fr.src]
+        # no piece outlives its certificate
+        cert = max(cert, *(_certify(kind, walk, *piece, h, n)
+                           for piece in walk.update(F, stats)))
+        linf = walk.write(linf)
+    del walk, F  # the error fold needs no block buffer
 
     if not rolling and error_fn is not None:
+        field = out.reshape(spec.shape)
         for i0, i1, x in _slabs(spec):
             linf = float(np.maximum(linf, np.max(error_fn(field[i0:i1], x))))
     return out, cert, (linf if error_fn is not None else None), stats
@@ -879,11 +1117,12 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     With storage="full" f is evaluated, and error_fn folded, over i_1-slabs
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
-    retained and the report carries the final axis-1 slab. At n = 2 with a
-    callable or constant f, both are evaluated on row blocks of a band of
-    fronts (_band_rhs): f before the band's fronts are solved, error_fn on
-    their solved values after; otherwise a rolling solve evaluates both per
-    front. Either way a callable f and error_fn must be elementwise on
+    retained and the report carries the final axis-1 slab. At n = 2 the
+    fronts are solved in blocks of _BLOCK; a rolling solve reads a callable
+    or constant f on row blocks of a band of fronts (_band_rhs) before the
+    band's fronts are solved, and for every rhs folds error_fn over the
+    band's solved values after; at n >= 3 a rolling solve evaluates both
+    per front. Either way a callable f and error_fn must be elementwise on
     broadcastable coordinate arrays, and the two storages agree bit for bit.
     """
     kind = SchemeKind.parse(kind)
@@ -906,15 +1145,19 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
     WORK_ARRAYS float64 arrays the size of its work unit, one front of
     (m+1)^(n-1) nodes or one i_1-slab, whichever is larger, plus
-    SOLVE_FIXED_BYTES. A rolling solve at n = 2 holds no slab but
-    WORK_ARRAYS fronts, the rhs band of B fronts and _RECT_ARRAYS rectangles
-    of T by T+B-1 nodes that fill it or fold the error over it (_band_rhs);
-    it is charged the larger of the two."""
-    front = (spec.m + 1) ** (spec.n - 1)
+    SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS arrays
+    of one block of K fronts, K by m+2 (_BlockWalk), and with rolling
+    storage also the rhs band of B fronts and _RECT_ARRAYS rectangles of T
+    by T+B-1 nodes that fill it or fold the error over it (_band_rhs); it is
+    charged the larger of the two, with either storage."""
+    m = spec.m
+    front = (m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
     work = WORK_ARRAYS * _slab_rows(spec) * front
-    if storage == "rolling" and spec.n == 2:
-        B, T = _band_dims(spec.m)
-        work = max(work, (WORK_ARRAYS + B) * front
-                   + _RECT_ARRAYS * T * (T + B - 1))
+    if spec.n == 2:
+        block = _BLOCK_ARRAYS * min(_BLOCK, m + 1) * (m + 2)
+        if storage == "rolling":
+            B, T = _band_dims(m)
+            block += B * front + _RECT_ARRAYS * T * (T + B - 1)
+        work = max(work, block)
     return field + 8 * work + SOLVE_FIXED_BYTES

@@ -98,8 +98,8 @@ def test_index_roundtrip_million_nodes():
 
 
 def _front_as_arrays(fronts, fr, size):
-    """Every index of a front as an int array, whether _Fronts hands out
-    slices (n = 2) or index arrays (n >= 3)."""
+    """Every index of a front as an int array (dest and src may be
+    slices)."""
     R = fronts.m + 1
     return (np.arange(size)[fr.flat], [np.arange(R)[i] for i in fr.heads],
             np.arange(R)[fr.tail], np.arange(fr.hi - fr.lo)[fr.inner],
@@ -161,9 +161,6 @@ def _check_front_index(spec):
                     assert heads[q] == tuple(v - (i == j) for i, v in
                                              enumerate(heads[p]))
                     assert d - 1 - sum(heads[q]) == mi[-1]
-        if n == 2:  # S3 reads all nodes; i_1 = 0 reads the fixed 0
-            A = fronts.neighbors(prev, lo, hi, slice(None))
-            assert np.array_equal(A[0], prev[lo:hi])
     assert len(seen) == spec.num_nodes
 
 

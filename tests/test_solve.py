@@ -6,6 +6,7 @@ the per-front and, at n = 2, per-band paths of rolling storage."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from hjsolve import schemes
 from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import (_BAND, SOLVE_FIXED_BYTES, WORK_ARRAYS,
+from hjsolve.schemes import (_BAND, _BLOCK, SOLVE_FIXED_BYTES, WORK_ARRAYS,
                              BisectionCapError, SchemeDomainError, SchemeKind,
                              SolveError, residual_stats, solve,
                              working_set_bytes)
@@ -501,6 +502,9 @@ def test_full_solve_memory_with_u_scale_error(n, m, ratio, kind):
 ] + [
     # the rhs band of an n = 2 rolling solve, at and around its width
     (2, m, "rolling") for m in (_BAND - 1, _BAND, _BAND + 1, 1000)
+] + [
+    # the blocks of K fronts of an n = 2 solve, at and around K
+    (2, m, "full") for m in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 1000)
 ])
 def test_working_set_bytes_bounds_the_traced_peak(n, m, storage):
     # the CLI memory guard charges working_set_bytes; every scheme and case,
@@ -552,6 +556,62 @@ def test_full_storage_callable_rhs_invalid_node(node, m, kind, bad):
         with pytest.raises(SolveError) as err:
             solve(spec, kind, f, storage=storage)
         assert err.value.multi_index == node
+
+
+def _rhs_with(spec, values, rhs_kind):
+    """The rhs that is 1.0 except at the nodes of values, as a callable or
+    a GridField."""
+    if rhs_kind == "field":
+        F = np.ones(spec.shape)
+        for node, v in values.items():
+            F[node] = v
+        return GridField(spec, F)
+    m = spec.m
+
+    def f(xs):
+        x1, x2 = (np.asarray(x) for x in xs)
+        out = np.ones(np.broadcast_shapes(x1.shape, x2.shape))
+        for (i, j), v in values.items():
+            out = np.where((x1 == i / m) & (x2 == j / m), v, out)
+        return out
+    return f
+
+
+@pytest.mark.parametrize("rhs_kind", ["callable", "field"])
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+@pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
+def test_invalid_rhs_named_in_front_order_within_a_block(bad, kind, storage,
+                                                         rhs_kind):
+    # fronts 8 and 9 share an n = 2 block; (0, 9) comes first by rows of the
+    # field, (5, 3) first by fronts, and the solve names the first by fronts
+    assert _BLOCK > 9
+    spec = GridSpec(2, 40)
+    f = _rhs_with(spec, {(0, 9): bad, (5, 3): bad}, rhs_kind)
+    with pytest.raises(SolveError) as err:
+        solve(spec, kind, f, storage=storage)
+    assert err.value.multi_index == (5, 3)
+
+
+@pytest.mark.parametrize("rhs_kind", ["callable", "field"])
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+def test_overflow_named_within_a_block_without_invalid_warnings(storage,
+                                                                rhs_kind):
+    # b = h^2 f is finite at (10, 9) but b*b overflows in the S2 closed form,
+    # so its value is inf: front 19, the fourth of the block [16, 32) of
+    # K = 16 fronts. The solve stops there, runs no later front and computes
+    # no inf - inf.
+    assert _BLOCK == 16
+    spec = GridSpec(2, 40)
+    f = _rhs_with(spec, {(10, 9): 1e308}, rhs_kind)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolveError) as err:
+            solve(spec, "s2", f, storage=storage)
+    assert err.value.multi_index == (10, 9)
+    messages = [str(w.message) for w in caught]
+    assert any("overflow" in msg for msg in messages)
+    assert not any("invalid value" in msg for msg in messages), messages
 
 
 def _on_grid_rhs(m):
