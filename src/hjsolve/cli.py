@@ -86,6 +86,18 @@ def _timed(phases: dict[str, float], name: str):
     phases[name] = time.perf_counter() - t0
 
 
+def _peak_rss_bytes() -> int | None:
+    """The process's peak resident set size so far (ru_maxrss, which is in
+    bytes on macOS and in KiB on Linux), or None where there is no resource
+    module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 def _write_report(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -242,6 +254,7 @@ def cmd_pareto(args) -> int:
         "normalized": not args.no_normalize,
         "wall_time_s": phases["solve_s"],
         "phases": phases,
+        "peak_rss_bytes": _peak_rss_bytes(),
     }
     rp = out / f"{stem}_pareto.report.json"
     _write_report(rp, report)

@@ -580,17 +580,22 @@ def _violation(product, target, band):
     """Per node, how far the residual product falls outside
     [target, (1+band)*target], relative to target; absolute where
     target == 0; infinite where the product or target is not finite. It
-    names the offending node; _max_violation reduces it. The invalid
-    operations of non-finite inputs (inf - inf) raise no warning, as their
-    results are replaced by inf."""
+    names the offending node; _max_violation reduces it. It works in place
+    on one result and one temporary. The invalid operations of non-finite
+    inputs (inf - inf) raise no warning, as their results are replaced by
+    inf."""
     with np.errstate(invalid="ignore"):
-        out = np.where(target > 0.0,
-                       np.maximum(np.maximum(target - product,
-                                             product - (1.0 + band) * target),
-                                  0.0)
-                       / np.where(target > 0.0, target, 1.0),
-                       product)
-    return np.where(np.isfinite(product) & np.isfinite(target), out, math.inf)
+        out = np.empty(np.broadcast_shapes(np.shape(product), np.shape(target)))
+        np.multiply(target, 1.0 + band, out=out)
+        np.subtract(product, out, out=out)
+        np.maximum(np.subtract(target, product), out, out=out)
+        np.maximum(out, 0.0, out=out)
+        pos = target > 0.0
+        np.divide(out, target, out=out, where=pos)
+        np.copyto(out, product, where=~pos)
+        finite = np.isfinite(product) & np.isfinite(target)
+        np.copyto(out, math.inf, where=~finite)
+    return out
 
 
 def _max_violation(product, target, band) -> float:
@@ -1146,10 +1151,11 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     WORK_ARRAYS float64 arrays the size of its work unit, one front of
     (m+1)^(n-1) nodes or one i_1-slab, whichever is larger, plus
     SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS arrays
-    of one block of K fronts, K by m+2 (_BlockWalk), and with rolling
-    storage also the rhs band of B fronts and _RECT_ARRAYS rectangles of T
-    by T+B-1 nodes that fill it or fold the error over it (_band_rhs); it is
-    charged the larger of the two, with either storage."""
+    of one block of K fronts, K by m+2 (_BlockWalk): a full solve, which
+    also fills the rhs and folds the error over i_1-slabs, is charged the
+    larger of the two; a rolling solve holds no slab, only the block, the
+    rhs band of B fronts and _RECT_ARRAYS rectangles of T by T+B-1 nodes
+    that fill it or fold the error over it (_band_rhs)."""
     m = spec.m
     front = (m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
@@ -1158,6 +1164,7 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
         block = _BLOCK_ARRAYS * min(_BLOCK, m + 1) * (m + 2)
         if storage == "rolling":
             B, T = _band_dims(m)
-            block += B * front + _RECT_ARRAYS * T * (T + B - 1)
-        work = max(work, block)
+            work = block + B * front + _RECT_ARRAYS * T * (T + B - 1)
+        else:
+            work = max(work, block)
     return field + 8 * work + SOLVE_FIXED_BYTES

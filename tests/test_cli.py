@@ -274,11 +274,12 @@ def test_pareto_guard_charges_the_u_transform(tmp_path, capsys):
 def test_guard_charges_the_field_file_rhs(tmp_path, capsys, monkeypatch,
                                           command, storage, cap):
     # n=2, m=8: a 648-byte field. Every charge also holds the solve's work
-    # arrays, so the cap counts on top of them. It lies between the --case
-    # and the --field-file charge: it refuses --field-file before the file is
-    # read and still passes --case.
+    # arrays, so the cap counts on top of them (pareto solves with full
+    # storage). It lies between the --case and the --field-file charge: it
+    # refuses --field-file before the file is read and still passes --case.
     spec = GridSpec(2, 8)
-    cap += working_set_bytes(spec, "rolling")
+    charged = storage or "full"
+    cap += working_set_bytes(spec, charged) - 648 * (charged == "full")
     rhs = tmp_path / "rhs.bin"
     GridField(spec, np.ones(spec.shape)).save_binary(rhs)
     cloud = tmp_path / "cloud.csv"
@@ -345,6 +346,9 @@ def test_pareto_report_phases(tmp_path, capsys):
                               "save_s", "solve_s"]
     assert all(v >= 0.0 for v in phases.values())
     assert report["wall_time_s"] == phases["solve_s"]
+    # the process's peak holds at least the cloud's coordinates: 3 points, n=2
+    assert isinstance(report["peak_rss_bytes"], int)
+    assert report["peak_rss_bytes"] >= 3 * 2 * 8
 
 
 def test_pareto_toy_cloud(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Front peeling against a brute-force oracle and the any-dimension kernel,
 multilinear ranking, and the agreement metric."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from hjsolve.convergence import u_field
 from hjsolve.grid import GridSpec
-from hjsolve.pareto import (CloudFormatError, PointCloud, PointsOutsideDomainError,
-                            _fronts, _peel_buckets, check_in_unit_cube, load_cloud_csv, pareto_fronts,
-                            pde_rank, rank_agreement, save_ranked_csv)
+from hjsolve.pareto import (_CHUNK, CloudFormatError, PointCloud, PointsOutsideDomainError,
+                            _fronts, _parse_lines, _peel_buckets, check_in_unit_cube,
+                            load_cloud_csv, pareto_fronts, pde_rank, rank_agreement,
+                            save_ranked_csv)
 
 from props import agreement_pairs, peel_bruteforce
 
@@ -95,6 +99,18 @@ def test_fast2d_matches_generic_medium():
     assert np.array_equal(pareto_fronts(pts), _fronts(pts, _peel_buckets))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_duplicates_across_chunks(n):
+    # heavy ties over several chunks of the sweep: every copy of a point
+    # takes the front of its distinct row
+    rng = np.random.default_rng(40 + n)
+    pts = rng.integers(0, 4, size=(2 * _CHUNK + 77, n)).astype(float)
+    distinct, inverse = np.unique(pts, axis=0, return_inverse=True)
+    expected = peel_bruteforce(distinct)[inverse.reshape(-1)]
+    assert np.array_equal(pareto_fronts(pts), expected)
+    assert np.array_equal(_fronts(pts, _peel_buckets), expected)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_raw_array_non_finite_rejected(n, bad):
@@ -177,6 +193,20 @@ def test_rank_rejects_outside_points(unit_field):
     check_in_unit_cube(PointCloud(np.array([[0.0, 1.0], [1.0 + 1e-13, 0.5]])))
 
 
+def test_rank_and_domain_check_over_chunks(unit_field):
+    # the chunked passes equal one point at a time, and name offenders in
+    # every chunk by their index in the whole cloud
+    rng = np.random.default_rng(32)
+    pts = rng.random((_CHUNK + 9, 2))
+    ranks = pde_rank(PointCloud(pts), unit_field)
+    for i in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 8):
+        assert ranks[i] == pde_rank(PointCloud(pts[i:i + 1]), unit_field)[0]
+    pts[[3, _CHUNK - 1, _CHUNK + 5], [0, 1, 0]] = [1.5, -0.2, 2.0]
+    with pytest.raises(PointsOutsideDomainError) as err:
+        check_in_unit_cube(PointCloud(pts))
+    assert err.value.indices.tolist() == [3, _CHUNK - 1, _CHUNK + 5]
+
+
 # ---------------------------------------------------------------------------
 # rank_agreement
 # ---------------------------------------------------------------------------
@@ -231,6 +261,21 @@ def test_agreement_equals_pair_oracle():
     ranks = np.round(rng.random(500) + chain / 100.0, 2)
     assert rank_agreement(chain, ranks) == agreement_pairs(chain, ranks)
     assert rank_agreement(chain, chain[::-1].astype(float)) == 0.0
+
+
+def test_agreement_over_chunks_and_any_front_labels():
+    # more points than two chunks, rank ties and NaN ranks; front labels
+    # beyond N, negative or non-integer are ranked first, in the same order
+    rng = np.random.default_rng(13)
+    N = 2 * _CHUNK + 7
+    fronts = rng.integers(1, 60, size=N)
+    ranks = np.round(rng.random(N) + 0.02 * fronts, 2)
+    ranks[rng.integers(0, N, size=5)] = np.nan
+    expected = agreement_pairs(fronts, ranks)
+    assert 0.0 < expected < 1.0
+    for labels in (fronts, fronts.astype(np.uint64), fronts * 10 ** 9, fronts - 30,
+                   fronts * 0.5):
+        assert rank_agreement(labels, ranks) == expected
 
 
 def test_agreement_needs_two_points_and_two_fronts():
@@ -299,15 +344,97 @@ def _ranked_csv_per_cell(path, cloud, fronts, ranks):
 
 def test_ranked_csv_bytes_match_per_cell_writer(tmp_path):
     rng = np.random.default_rng(4)
-    pts = rng.random((200, 3)) * 10.0 ** rng.integers(-5, 5, size=(200, 3))
+    N = _CHUNK + 200  # two chunks of the writer
+    pts = rng.random((N, 3)) * 10.0 ** rng.integers(-5, 5, size=(N, 3))
     pts[:6] = [[-0.0, 1e-300, 3.0], [0.0, -1e-300, -7.0], [1e300, 2.0, 0.1],
                [5e-324, 1.0, 0.5], [1 / 3, 2 / 3, 123456789.0], [-2.5, 0.0, 1.0]]
     cloud = PointCloud(pts)
-    fronts = rng.integers(1, 1000, size=200)
-    ranks = rng.random(200)
+    fronts = rng.integers(1, 1000, size=N)
+    ranks = rng.random(N)
     ranks[:4] = [-0.0, 1e-300, 4.0, 1e17]
     for r in (ranks, None):
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         save_ranked_csv(fast, cloud, fronts, r)
         _ranked_csv_per_cell(slow, cloud, fronts, r)
         assert fast.read_bytes() == slow.read_bytes()
+
+
+# (bytes, n): files NumPy's reader takes, rejects, or reads as something the
+# line loop does not accept
+LOADER_FIXTURES = {
+    "underscored-digits": (b"1_0,2.5\n0.5,3_000.25\n", 2),
+    "whitespace-lines": (b"0.1,0.2\n   \n\t\n\n0.3,0.4\n", 2),
+    "only-whitespace": (b"\n  \n", 2),
+    "crlf": (b"0.1,0.2\r\n0.3,0.4\r\n", 2),
+    "utf8-bom": (b"\xef\xbb\xbf0.1,0.2\n0.3,0.4\n", 2),
+    "hash-line": (b"# x,y\n0.1,0.2\n", 2),
+    "hash-short-line": (b"0.1,0.2\n#c\n", 2),
+    "trailing-comma": (b"0.1,0.2,\n0.3,0.4,\n", 2),
+    "nan": (b"0.1,0.2\n0.3,nan\n", 2),
+    "inf": (b"0.1,0.2\n-inf,0.4\n", 2),
+    "overflow": (b"0.1,1e400\n", 2),
+    "empty": (b"", 2),
+    "too-wide": (b"0.1,0.2,0.3\n", 2),
+    "too-narrow": (b"0.1,0.2\n0.3\n", 2),
+    "n1": (b"0.5\n0.25\n1e-320\n", 1),
+    "signs-and-spaces": (b" +0.1 , -0.0 \n.5,\t5.\n", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOADER_FIXTURES))
+def test_loader_equals_line_loop(tmp_path, name):
+    # NumPy's reader or the line loop: the same array bit for bit, or the
+    # same CloudFormatError, and no warning either way
+    data, n = LOADER_FIXTURES[name]
+    path = tmp_path / "cloud.csv"
+    path.write_bytes(data)
+
+    def line_loop():
+        with open(path) as fh:
+            return _parse_lines(fh, path, n)
+
+    try:
+        expected = line_loop()
+    except CloudFormatError as exc:
+        expected = exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, CloudFormatError):
+            with pytest.raises(CloudFormatError) as err:
+                load_cloud_csv(path, n)
+            assert str(err.value) == str(expected)
+            assert err.value.line == expected.line
+        else:
+            got = load_cloud_csv(path, n).points
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+    if name == "underscored-digits":
+        assert expected.tolist() == [[10.0, 2.5], [0.5, 3000.25]]
+
+
+def test_pareto_layer_memory_per_point(tmp_path):
+    # traced peak of each phase per point, results included, at N = 50k:
+    # about 1.5x what the chunked layer measures (25, 32, 21, 18, 20), and
+    # below the per-point lists and copies it replaced (224, 105, 128, 82, 136)
+    N = 50_000
+    rng = np.random.default_rng(50)
+    path = tmp_path / "cloud.csv"
+    np.savetxt(path, rng.random((N, 3)), fmt="%.17g", delimiter=",")
+    field = u_field(GridSpec(3, 20), "s2", 1.0)
+
+    def per_point(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return out, peak / N
+
+    cloud, load = per_point(lambda: load_cloud_csv(path, 3))
+    fronts, peel = per_point(lambda: pareto_fronts(cloud))
+    ranks, rank = per_point(lambda: pde_rank(cloud, field))
+    _, agree = per_point(lambda: rank_agreement(fronts, ranks))
+    _, save = per_point(lambda: save_ranked_csv(tmp_path / "out.csv", cloud, fronts, ranks))
+    assert load <= 38 and peel <= 48 and rank <= 32 and agree <= 27 and save <= 30
