@@ -14,11 +14,23 @@ from __future__ import annotations
 import os
 import stat
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 _HEADER = struct.Struct("<qq")  # n, m as little-endian int64
+
+
+def _power_up_to(base: int, exponent: int, cap: int) -> int | None:
+    """base**exponent for base >= 2, or None once the product passes cap:
+    at most log2(cap) + 1 multiplications, whatever the exponent."""
+    out = 1
+    for _ in range(exponent):
+        out *= base
+        if out > cap:
+            return None
+    return out
 
 
 @dataclass(frozen=True)
@@ -86,24 +98,33 @@ class GridField:
     @classmethod
     def load_binary(cls, path) -> "GridField":
         """Read a save_binary file straight into the returned array, so the
-        load holds one field. A regular file's size is checked before the
-        array is allocated."""
+        load holds one field. The header's node count (m+1)^n is multiplied
+        up only while it fits in a file, so a malformed header fails at
+        once, and a regular file's size is checked before the array is
+        allocated."""
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             if len(head) != _HEADER.size:
                 raise ValueError(f"{path}: truncated header")
             n, m = _HEADER.unpack(head)
-            spec = GridSpec(int(n), int(m))
-            want = spec.num_nodes * 8
+            try:
+                spec = GridSpec(n, m)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+            count = _power_up_to(m + 1, n, sys.maxsize // 8)
+            if count is None:
+                raise ValueError(f"{path}: expected {m + 1}^{n} values for "
+                                 f"n={n}, m={m}, more than a file holds")
+            want = count * 8
             st = os.fstat(fh.fileno())
             got = st.st_size - _HEADER.size if stat.S_ISREG(st.st_mode) else want
             if got == want:
-                data = np.empty(spec.num_nodes, dtype="<f8")
+                data = np.empty(count, dtype="<f8")
                 got = fh.readinto(data) + len(fh.read())
         if got != want:
             rest = f" and {got % 8} byte(s)" if got % 8 else ""
             raise ValueError(
-                f"{path}: expected {spec.num_nodes} values for n={n}, m={m}, "
+                f"{path}: expected {count} values for n={n}, m={m}, "
                 f"got {got // 8}{rest}")
         return cls(spec, data)
 

@@ -45,20 +45,22 @@ index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
 sliced on axis 0). With full storage the right-hand side is written into the
 output field slab by slab before the pass, each block reads its rhs from
 there, and the error is folded over the same slabs after the pass. Rolling
-storage at n >= 3 reads f and folds the error per front. At n = 2 a rolling
-solve reads a GridField through the same strided view as full storage, and
-a callable or constant f from a band of B fronts (_band_rhs), filled on
-sparse rectangles of at most T rows by T+B-1 columns whose skewed diagonal
-strips hold the band's nodes; for every rhs each block then writes its
-solved values over its rows of the band, and the error is folded once per
-band on the same rectangles. So the per-axis work of f and error_fn runs on
-coordinate vectors, for O(B*(m+1)) extra memory and no second band.
-residual_stats runs over the same slabs as full storage: each is copied
-into one buffer, zero-padded on the low face of every axis, whose shifted
-views are the backward neighbors for all three schemes, and the S1/S2 zero
-boundary is checked once, on the n faces of the field. So a callable f and
-an error_fn must be elementwise on broadcastable coordinate arrays: the
-value at a node may not depend on how nodes are batched.
+storage reads a GridField's values as full storage reads its field, through
+the same index arrays or strided views. It calls a callable or constant f
+per front at n >= 3 and, at n = 2, through a band of B fronts (_band_rhs),
+filled on sparse rectangles of at most T rows by T+B-1 columns whose skewed
+diagonal strips hold the band's nodes, so f's per-axis work runs on
+coordinate vectors, for O(B*(m+1)) extra memory. A rolling solve folds the
+error per block on the block's own coordinates: at n >= 3 the front's
+gathered coordinates, at n = 2 pieces of K/4 fronts by all their heads,
+whose x_2 is a skewed view of a padded coordinate table, with the off-grid
+triangles kept out of the max; all three folds are one expression
+(_fold_error). residual_stats runs over the same slabs as full storage:
+each is copied into one buffer, zero-padded on the low face of every axis,
+whose shifted views are the backward neighbors for all three schemes, and
+the S1/S2 zero boundary is checked once, on the n faces of the field. So a
+callable f and an error_fn must be elementwise on broadcastable coordinate
+arrays: the value at a node may not depend on how nodes are batched.
 """
 
 from __future__ import annotations
@@ -86,19 +88,20 @@ _BLOCK = 16  # fronts per block of an n = 2 solve (_BlockWalk)
 # (34-42 at n = 3, 4 once a slab is one row).
 WORK_ARRAYS = 56
 # Peak traced bytes of the n = 2 pass beyond the field and the rolling band
-# and rectangles, in float64 arrays of one block, K by m+2: U, the rhs block,
-# the certificate's temporaries on half a block and the closed form's on one
-# front. tracemalloc measured at most 5.05 at m = 300 and 1000 (5.7-8.1 at
-# m = 15..64, where the fixed bytes take the rest), f1-f3 and const with and
-# without the u-scale error, S1-S3, callable and GridField rhs, either
-# storage; the most is f1, whose zero rhs sends S3's certificate to
+# and its fill, in float64 arrays of one block, K by m+2: U, the rhs block,
+# the certificate's temporaries on half a block, the closed form's on one
+# front, and a rolling solve's error fold on a quarter block (_fold, whose
+# own excess is at most 1.8 blocks). tracemalloc measured at most 5.06 at
+# m = 1000 and 5.21 at m = 300 (5.9-9.2 at m = 15..65, where the fixed
+# bytes take the rest), f1-f3 and const with and without the u-scale
+# error, S1-S3, callable and GridField rhs, rolling storage; the most is
+# f1 with S3 and the error, whose zero rhs sends the certificate to
 # _violation.
 _BLOCK_ARRAYS = 6
-# Rectangles of one band fill or error fold (_band_rhs) alive at once,
-# counting f's and error_fn's results: tracemalloc measured at most 7.2 for
-# the fill (f3) and 8.6 for the fold (the u-scale error of f3, S2 and S3) on
-# 64 by 127 rectangles, f1-f3 and const, S1-S3.
-_RECT_ARRAYS = 9
+# Rectangles of one band fill (_band_rhs) alive at once, counting f's
+# results: tracemalloc measured at most 7.17 on 64 by 127 rectangles (7.93
+# on the 16 by 31 rectangles of m = 15), f1-f3 and const, S1-S3.
+_RECT_ARRAYS = 8
 # Bytes a solve holds at any size (array headers, front index, closures):
 # tracemalloc measured at most 12.8 KB above the work arrays on m = 1..3,
 # n = 2..6, f1-f3 and const with the u-scale error (n = 4, m = 1, rolling).
@@ -463,25 +466,15 @@ def _slab_rhs(f, spec: GridSpec, i0, i1, x) -> np.ndarray:
     return np.broadcast_to(F, (i1 - i0,) + spec.shape[1:])
 
 
-def _front_rhs(f, error_fn):
-    """(rhs, fold) of a rolling solve at n >= 3, which reads f per front:
-    rhs(fr, x) is f on the front whose _Front is fr and node coordinates x
-    (a tuple of 1-d arrays), and fold(linf, vals, x) folds error_fn over the
-    front's solved values vals into the running sup linf."""
-    if isinstance(f, GridField):
-        F = f.values.reshape(-1)
-        rhs = lambda fr, x: F[fr.flat]
-    else:
-        fn = _as_rhs(f)
-
-        def rhs(fr, x):
-            size = fr.hi - fr.lo
-            fd = np.asarray(fn(x), dtype=np.float64)
-            return fd if fd.shape == (size,) else np.broadcast_to(fd, (size,))
-
-    def fold(linf, vals, x):
-        return float(np.maximum(linf, np.max(error_fn(vals, x))))
-    return rhs, fold
+def _fold_error(linf, error_fn, vals, x, where=True) -> float:
+    """linf folded with the max of error_fn(vals, x) over the entries of
+    vals where `where` holds. The result, which may be a view of vals, is
+    only read, and a scalar or a broadcastable result is broadcast to
+    vals' shape. Full storage folds i_1-slabs, a rolling solve its blocks."""
+    E = np.asarray(error_fn(vals, x), dtype=np.float64)
+    if E.shape != vals.shape:
+        E = np.broadcast_to(E, vals.shape)
+    return float(np.maximum(linf, np.max(E, where=where, initial=-math.inf)))
 
 
 def _band_dims(m: int) -> tuple[int, int]:
@@ -489,13 +482,20 @@ def _band_dims(m: int) -> tuple[int, int]:
     return min(_BAND, m + 1), min(_TILE, m + 1)
 
 
+def _padded(table: np.ndarray, k: int) -> np.ndarray:
+    """A read-only copy of table with k copies of its end values on either
+    side, so that views of it past the grid read grid coordinates."""
+    out = np.pad(table, k, mode="edge")
+    out.flags.writeable = False
+    return out
+
+
 def _strip(A, t: int, B: int) -> np.ndarray:
     """The skewed diagonal strip of A, broadcast to t by W = t+B-1, as a t
     by B float64 array: entry (r, k) is A[r, t - 1 - r + k], which is flat
     entry r*(W - 1) + t - 1 + k, so rows of W - 1 entries from flat entry
     t - 1 on hold the strip in their first B columns (at t = 1 the strip is
-    A). A view of a C-contiguous t by W array (so writes go through), a
-    copy otherwise."""
+    A)."""
     W = t + B - 1
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (t, W):
@@ -505,71 +505,35 @@ def _strip(A, t: int, B: int) -> np.ndarray:
     return A.reshape(-1)[t - 1:t - 1 + t * (W - 1)].reshape(t, W - 1)[:, :B]
 
 
-def _band_rhs(fn, spec: GridSpec, xs: np.ndarray, error_fn):
-    """(rows, fold) of an n = 2 rolling solve, through a band of B fronts:
-    band[d - D, i] is f at node (i, d - i), for the fronts d in [D, D + B).
-    rows(d0, d1) is the band's rows of the fronts [d0, d1), which lie in one
-    band; at d0 = D + B the band moves on to the next B fronts, and a
-    callable fn fills it. Each band is filled from blocks of at most T rows
-    [r0, r1): f on the sparse rectangle x[r0:r1] by x[c0:c0 + t + B - 1],
-    with t = r1 - r0 and c0 = D - r1 + 1, holds front D + k of row r0 + r at
-    (r, t - 1 - r + k), a skewed diagonal strip (_strip). So f evaluates its
-    per-axis work on (t + B - 1)-long coordinate vectors instead of on every
-    node. Columns past either end of the axis read the end coordinates, so
-    f sees grid coordinates only; those entries are off the grid. With
-    fn None (a GridField rhs) the band holds only the solved values.
-
-    fold(linf, d0, d1, lo, hi, vals) writes the solved values of the fronts
-    [d0, d1), heads [lo, hi), over their rows once the rhs there is read no
-    more, and when the band's last front (or the solve's) is done, folds
-    error_fn over the band on the same rectangles: the band's values sit on
-    each rectangle's strip, every other entry holds 0.0, and so the per-axis
-    work of error_fn runs on coordinate vectors too. Off-grid strip entries
-    are read (as 0.0) but masked out of the max; rectangles wholly inside
-    the grid need no mask. No second band is held."""
+def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
+    """rows(d0, d1): the rhs of the fronts [d0, d1) of an n = 2 rolling
+    solve with a callable or constant f, by fronts and heads, read from a
+    band of B fronts: band[d - D, i] is f at node (i, d - i), for the
+    fronts d in [D, D + B) with D a multiple of B. The fronts [d0, d1) lie
+    in one band, and where d0 = D fn fills it, from blocks of at most T
+    rows [r0, r1): f on the sparse rectangle x[r0:r1] by
+    x[c0:c0 + t + B - 1], with t = r1 - r0 and c0 = D - r1 + 1, holds front
+    D + k of row r0 + r at (r, t - 1 - r + k), a skewed diagonal strip
+    (_strip). So f evaluates its per-axis work on (t + B - 1)-long
+    coordinate vectors instead of on every node. Columns past either end
+    of the axis read the end coordinates, so f sees grid coordinates only;
+    those entries are off the grid."""
     m = spec.m
     B, T = _band_dims(m)
-    xpad = np.concatenate((np.full(B - 1, xs[0]), xs, np.full(B - 1, xs[-1])))
-    xpad.flags.writeable = False
+    xpad = _padded(xs, B - 1)
     band = np.empty((B, m + 1))
-    first = -B  # the band holds the fronts [first, first + B)
-
-    def rects(D):
-        """(r0, t, coordinates) of the rectangles of the band at D."""
-        last = min(m, D + B - 1) + 1  # rows [max(0, D - m), last) meet the band
-        for r0 in range(max(0, D - m), last, T):
-            t = min(T, last - r0)
-            c0 = D - r0 - t + B  # D - r1 + 1 on the axis, shifted by the padding
-            yield r0, t, (xs[r0:r0 + t, None], xpad[None, c0:c0 + t + B - 1])
 
     def rows(d0, d1):
-        nonlocal first
-        if d0 >= first + B:
-            first = d0
-            if fn is not None:
-                for r0, t, X in rects(d0):
-                    band[:, r0:r0 + t] = _strip(fn(X), t, B).T
-        return band[d0 - first:d1 - first]
-
-    def fold(linf, d0, d1, lo, hi, vals):
-        band[d0 - first:d1 - first, lo:hi] = vals
-        if d1 - first < B and d1 <= 2 * m:
-            return linf
-        for r0, t, X in rects(first):
-            # strip entry (r, k) is node (r0 + r, j) with j = first - r0 + k - r
-            on = None
-            if first - r0 - t + 1 < 0 or first - r0 + B - 1 > m:
-                j = (first - r0) + np.arange(B) - np.arange(t)[:, None]
-                on = (j >= 0) & (j <= m)  # fronts past 2m have j > m
-            V = np.zeros((t, t + B - 1))
-            S = band[:, r0:r0 + t].T
-            _strip(V, t, B)[...] = S if on is None else np.where(on, S, 0.0)
-            E = _strip(error_fn(V, X), t, B)
-            worst = (np.max(E) if on is None
-                     else np.max(E, where=on, initial=-math.inf))
-            linf = float(np.maximum(linf, worst))
-        return linf
-    return rows, fold
+        D = d0 - d0 % B
+        if d0 == D:
+            last = min(m, D + B - 1) + 1  # rows [max(0, D - m), last) meet the band
+            for r0 in range(max(0, D - m), last, T):
+                t = min(T, last - r0)
+                c0 = D - r0 - t + B  # D - r1 + 1 on the axis, shifted by the padding
+                X = (xs[r0:r0 + t, None], xpad[None, c0:c0 + t + B - 1])
+                band[:, r0:r0 + t] = _strip(fn(X), t, B).T
+        return band[d0 - D:d1 - D]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -788,20 +752,19 @@ def _axis_tables(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class _FrontWalk:
     """The engine's steps at n >= 3 (_solve_fronts), where a block is one
-    front of _Fronts: read its rhs from the field or per front, update it
-    by bisection from front d-1 (prev, by head position behind one fixed
-    0), and write it to the field or the final slab."""
+    front of _Fronts: read its rhs from src or call fn on its coordinates,
+    update it by bisection from front d-1 (prev, by head position behind
+    one fixed 0), fold error_fn over it (a rolling solve) and write it to
+    the field or the final slab."""
 
-    def __init__(self, spec, kind, f, out, rolling, error_fn):
+    def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
         n, m = spec.n, spec.m
         self.spec, self.kind, self.out = spec, kind, out
-        self.rolling, self.error_fn = rolling, error_fn
+        self.src, self.fn, self.error_fn = src, fn, error_fn
         self.fronts = _Fronts(spec, rolling)
         self.prev = np.zeros(1 + (m + 1) ** (n - 1))
         self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
         self.cw, self.cw_rev = _axis_tables(n * np.arange(m + 1.0))  # S3 c_i
-        if rolling:
-            self.rhs, self.fold = _front_rhs(f, error_fn)
 
     def spans(self):
         return ((d, d + 1) for d in range(self.spec.n * self.spec.m + 1))
@@ -810,11 +773,13 @@ class _FrontWalk:
         """The rhs of front d0, contiguous; node() names its entries."""
         fr = self.fr = self.fronts.front(d0)
         self.d, self.sel = d0, slice(None)
-        if not self.rolling:
-            return self.out[fr.flat]
-        self.x = (tuple(self.xs[i] for i in fr.heads)
-                  + (self.xs_rev[fr.tail],))  # f's and error_fn's coordinates
-        return np.ascontiguousarray(self.rhs(fr, self.x))
+        if self.fn is not None or self.error_fn is not None:
+            self.x = (tuple(self.xs[i] for i in fr.heads)
+                      + (self.xs_rev[fr.tail],))  # f's and error_fn's coordinates
+        if self.src is not None:
+            return self.src[fr.flat]
+        F = np.asarray(self.fn(self.x), dtype=np.float64)
+        return np.ascontiguousarray(np.broadcast_to(F, (fr.hi - fr.lo,)))
 
     def update(self, F, stats):
         """Solve the front by bisection; yield the certificate's inputs
@@ -852,8 +817,8 @@ class _FrontWalk:
             vals[self.sel] = self.t
         else:
             vals = self.t
-        if self.rolling and self.error_fn is not None:
-            linf = self.fold(linf, vals, self.x)
+        if self.error_fn is not None:
+            linf = _fold_error(linf, self.error_fn, vals, self.x)
         self.prev[1 + fr.lo:1 + fr.hi] = vals
         self.out[fr.dest] = vals[fr.src]
         return linf
@@ -890,36 +855,31 @@ class _BlockWalk:
     U[k, a:b] and U[k, a + 1:b + 1]. S1/S2 update inner nodes only; their
     boundary entries keep U's initial 0, since a row's column i + 1 is
     written only by the fronts after i. Off-grid entries of U hold finite
-    values (S3 weights them by 0). A rolling solve reads a callable f from
-    the band's rows, a GridField through the same view of its values; it
-    copies U's rows into the band for the error fold and U's last column
-    into the final slab."""
+    values (S3 weights them by 0). A rolling solve reads a GridField
+    through the same view of its values and a callable f from the rows of
+    _band_rhs; it folds error_fn over U's rows (_fold) and copies U's last
+    column into the final slab."""
 
-    def __init__(self, spec, kind, f, out, rolling, error_fn):
+    def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
         m = spec.m
         K = self.K = min(_BLOCK, m + 1)
         self.spec, self.kind, self.out = spec, kind, out
-        self.rolling, self.error_fn = rolling, error_fn
+        self.src, self.rolling, self.error_fn = src, rolling, error_fn
         self.U = np.zeros((K + 1, m + 2))
         self.ge = np.triu(np.ones((K, K), dtype=bool))  # entries c >= k
         self.lt = ~self.ge
         self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
+        # tables over j in [-K, m + K], which _skew reads by front and head;
+        # onpad is True on the grid, 0 <= j <= m
         if kind is SchemeKind.S3:
             self.cw = 2.0 * np.arange(m + 1)  # c_1 = 2 i
-            # c_2 = 2 j, for j in [-K, m + K]: _skew reads it by front and head
-            self.cpad = 2.0 * np.arange(-K, m + 1 + K)
-            self.cpad.flags.writeable = False
-        self.band_rows = None
-        if rolling and (error_fn is not None or not isinstance(f, GridField)):
-            self.band_rows, self.fold = _band_rhs(
-                None if isinstance(f, GridField) else _as_rhs(f), spec,
-                self.xs, error_fn)
-        self.src = None
-        if not rolling:
-            self.src = out
-        elif isinstance(f, GridField):
-            self.src = f.values.reshape(-1)
-        if self.src is not None:
+            self.cpad = _padded(self.cw, K)  # c_2 = 2 j
+        if error_fn is not None:
+            self.xpad = _padded(self.xs, K)  # x_2 = j / m
+            self.onpad = np.pad(np.ones(m + 1, dtype=bool), K)
+        if src is None:
+            self.band_rows = _band_rhs(fn, spec, self.xs)
+        else:
             self.G = np.empty((m + 1, K))  # the rhs, by heads and fronts
 
     def spans(self):
@@ -947,10 +907,8 @@ class _BlockWalk:
         self.d0, self.d1 = d0, d1
         lo, hi = self.lo, self.hi = self._heads(d0, d1)
         self.p0, self.c0, self.ph = d0, lo, hi
-        if self.band_rows is not None:
-            rows = self.band_rows(d0, d1)
         if self.src is None:
-            F = rows[:, lo:hi]
+            F = self.band_rows(d0, d1)[:, lo:hi]
         else:  # copied in the view's order: its rows are runs of the field
             G = self.G[:hi - lo, :d1 - d0]
             np.copyto(G, self._view(self.src))
@@ -995,23 +953,30 @@ class _BlockWalk:
             if not np.maximum.reduce(t, initial=0.0) < math.inf:
                 rows, finite = k + 1, False  # no later front runs
                 break
-        step = max(1, self.K // 2)
-        for r0 in range(0, rows, step):
-            r1 = min(r0 + step, rows)
+        for r0, r1, c0, hi in self._pieces(rows, max(1, self.K // 2)):
             p0 = self.p0 = d0 + r0
-            c0, hi = self._heads(p0, d0 + r1)
             c0 = self.c0 = max(c0, 1) if bc else c0
             self.ph = hi
-            C = [self.cw[c0:hi], self._skew(p0, c0, r1 - r0, hi)] if s3 else None
+            C = ([self.cw[c0:hi], self._skew(self.cpad, p0, c0, r1 - r0, hi)]
+                 if s3 else None)
             yield (U[r0 + 1:r1 + 1, c0 + 1:hi + 1],
                    [U[r0:r1, c0:hi], U[r0:r1, c0 + 1:hi + 1]], C,
                    F[r0:r1, c0 - lo:hi - lo], finite or r1 < rows)
 
-    def _skew(self, p0, c0, rows, hi):
-        """S3's c_2 = 2 j by the fronts from p0 and heads [c0, hi): entry
-        (k, c) is cpad[K + p0 + k - c0 - c], a view with strides (1, -1)."""
-        s = self.cpad.itemsize
-        return np.ndarray((rows, hi - c0), np.float64, self.cpad,
+    def _pieces(self, rows, step):
+        """(r0, r1, lo, hi) of the block's fronts d0 + [r0, r1), step of
+        the first `rows` at a time, with their heads [lo, hi)."""
+        for r0 in range(0, rows, step):
+            r1 = min(r0 + step, rows)
+            yield (r0, r1) + self._heads(self.d0 + r0, self.d0 + r1)
+
+    def _skew(self, table, p0, c0, rows, hi):
+        """A table over j in [-K, m + K] by the fronts from p0 and heads
+        [c0, hi): entry (k, c) is table[K + p0 + k - c0 - c], which is j's
+        entry for node (c0 + c, p0 + k - c0 - c), a view with strides
+        (1, -1)."""
+        s = table.itemsize
+        return np.ndarray((rows, hi - c0), table.dtype, table,
                           (self.K + p0 - c0) * s, (s, -s))
 
     def mask(self, product, target):
@@ -1023,8 +988,8 @@ class _BlockWalk:
     def write(self, linf):
         d0, d1, lo, hi, m = self.d0, self.d1, self.lo, self.hi, self.spec.m
         K1, U = d1 - d0, self.U
-        S = U[1:K1 + 1, lo + 1:hi + 1]
         if not self.rolling:
+            S = U[1:K1 + 1, lo + 1:hi + 1]
             V = self._view(self.out).T
             s, u = d0 - m - lo, d0 + 1 - lo
             _window(V, s, self.ge[:K1, :K1], S)  # on the grid: i >= d0 + k - m
@@ -1032,11 +997,26 @@ class _BlockWalk:
             _window(V, u, self.lt[:K1, :K1], S)  # on the grid: i <= d0 + k
         else:
             if self.error_fn is not None:
-                linf = self.fold(linf, d0, d1, lo, hi, S)
+                linf = self._fold(linf)
             if d1 > m:  # the fronts' last heads, i = m
                 k = max(d0, m) - d0
                 self.out[d0 + k - m:d1 - m] = U[1 + k:K1 + 1, m + 1]
         U[0] = U[K1]
+        return linf
+
+    def _fold(self, linf):
+        """linf folded with error_fn over the block's values in pieces of
+        K/4 fronts by all their heads, on the pieces' own coordinates: x_1
+        = xs[lo:hi] as a row and x_2 a _skew view of xpad. The entries off
+        the grid, two end triangles of stale values of U at the end
+        coordinates, go to error_fn too; the _skew view of onpad keeps them
+        out of the max."""
+        for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, max(1, self.K // 4)):
+            p0, rows = self.d0 + r0, r1 - r0
+            x = (self.xs[lo:hi], self._skew(self.xpad, p0, lo, rows, hi))
+            linf = _fold_error(linf, self.error_fn,
+                               self.U[r0 + 1:r1 + 1, lo + 1:hi + 1], x,
+                               self._skew(self.onpad, p0, lo, rows, hi))
         return linf
 
 
@@ -1073,10 +1053,16 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
     n, m, h = spec.n, spec.m, spec.h
     _check_rhs_spec(f, spec)
     out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
+    src = fn = None  # the flat field that holds the rhs, or f as a callable
     if not rolling:
         _fill_rhs(out.reshape(spec.shape), f, spec)
-    walk = (_BlockWalk if n == 2 else _FrontWalk)(spec, kind, f, out, rolling,
-                                                  error_fn)
+        src = out
+    elif isinstance(f, GridField):
+        src = f.values.reshape(-1)
+    else:
+        fn = _as_rhs(f)
+    walk = (_BlockWalk if n == 2 else _FrontWalk)(
+        spec, kind, src, fn, out, rolling, error_fn if rolling else None)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
@@ -1098,7 +1084,7 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
     if not rolling and error_fn is not None:
         field = out.reshape(spec.shape)
         for i0, i1, x in _slabs(spec):
-            linf = float(np.maximum(linf, np.max(error_fn(field[i0:i1], x))))
+            linf = _fold_error(linf, error_fn, field[i0:i1], x)
     return out, cert, (linf if error_fn is not None else None), stats
 
 
@@ -1123,12 +1109,13 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
     retained and the report carries the final axis-1 slab. At n = 2 the
-    fronts are solved in blocks of _BLOCK; a rolling solve reads a callable
-    or constant f on row blocks of a band of fronts (_band_rhs) before the
-    band's fronts are solved, and for every rhs folds error_fn over the
-    band's solved values after; at n >= 3 a rolling solve evaluates both
-    per front. Either way a callable f and error_fn must be elementwise on
-    broadcastable coordinate arrays, and the two storages agree bit for bit.
+    fronts are solved in blocks of _BLOCK. A rolling solve reads a GridField
+    rhs from its values; it evaluates a callable or constant f per front at
+    n >= 3, and at n = 2 on row blocks of a band of fronts (_band_rhs)
+    before the band's fronts are solved. It folds error_fn per block on the
+    block's own coordinates once the block is solved. Either way a callable
+    f and error_fn must be elementwise on broadcastable coordinate arrays,
+    and the two storages agree bit for bit.
     """
     kind = SchemeKind.parse(kind)
     if storage not in ("full", "rolling"):
@@ -1153,9 +1140,10 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS arrays
     of one block of K fronts, K by m+2 (_BlockWalk): a full solve, which
     also fills the rhs and folds the error over i_1-slabs, is charged the
-    larger of the two; a rolling solve holds no slab, only the block, the
-    rhs band of B fronts and _RECT_ARRAYS rectangles of T by T+B-1 nodes
-    that fill it or fold the error over it (_band_rhs)."""
+    larger of the two; a rolling solve holds no slab, only the block (with
+    the error fold's pieces), the rhs band of B fronts and _RECT_ARRAYS
+    rectangles of T by T+B-1 nodes that fill it (_band_rhs). A GridField
+    rhs needs no band, but the charge does not depend on the rhs."""
     m = spec.m
     front = (m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0

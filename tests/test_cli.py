@@ -133,6 +133,15 @@ def test_solve_missing_field_file_is_runtime_error(tmp_path):
                    "--out", str(tmp_path)) == 1
 
 
+def test_solve_field_file_with_huge_header_names_the_file(tmp_path, capsys):
+    # a header claiming 3^(10^7) values fails at once, as a data error
+    path = tmp_path / "rhs.bin"
+    path.write_bytes(np.array([10**7, 2], dtype="<i8").tobytes())
+    assert run_cli("solve", "--scheme", "s1", "--field-file", str(path),
+                   "--n", "2", "--m", "8", "--out", str(tmp_path)) == 1
+    assert f"error: {path}: expected 3^10000000 values" in capsys.readouterr().err
+
+
 def test_convergence_markdown_and_csv(tmp_path, capsys):
     rc = run_cli("convergence", "--case", "const:2", "--n", "3", "--max-k", "1",
                  "--schemes", "s2", "--out", str(tmp_path))

@@ -2,6 +2,7 @@
 and file formats. The sweep order is C order, `np.ndindex(spec.shape)`, the
 order of the field files and of the scalar reference solve."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import _BAND, SchemeKind, _Fronts, solve
 from hjsolve.testcases import make_case
 
-from props import field_csv_per_cell, same_report
+from props import field_csv_per_cell, rhs_values, same_report
 
 
 def test_spec_validation():
@@ -180,15 +181,18 @@ def _check_front_index(spec):
 ])
 def test_rolling_equals_full_bitwise(n, m, kind, case_name):
     # the running sup of the raw values, and the u-scale error, whose S2
-    # negative-value check and S3 coordinate product run on the rectangles
-    # of an n = 2 rhs band
+    # negative-value check and S3 coordinate product run per block of a
+    # rolling solve (at n = 2 on pieces of a block, off-grid entries
+    # included), for the callable f and for its values as a GridField, which
+    # a rolling solve reads with no rhs band
     case = make_case(case_name, n)
     spec = GridSpec(n, m)
     raw = lambda vals, xs: np.abs(vals - 0.0)
-    for err in (raw, u_scale_error_fn(SchemeKind.parse(kind), case)):
-        full = solve(spec, kind, case.f, error_fn=err)
-        roll = solve(spec, kind, case.f, storage="rolling", error_fn=err)
-        same_report(full, roll)
+    for f in (case.f, GridField(spec, rhs_values(spec, case.f))):
+        for err in (raw, u_scale_error_fn(SchemeKind.parse(kind), case)):
+            full = solve(spec, kind, f, error_fn=err)
+            roll = solve(spec, kind, f, storage="rolling", error_fn=err)
+            same_report(full, roll)
 
 
 def test_rolling_equals_full_bitwise_million_nodes():
@@ -253,6 +257,36 @@ def test_binary_rejects_wrong_size(tmp_path, cut):
     path.write_bytes(cut(path.read_bytes()))
     with pytest.raises(ValueError, match="truncated header|expected 16 values"):
         GridField.load_binary(path)
+
+
+@pytest.mark.parametrize("n,message", [
+    (10**7, "expected 3^10000000 values for n=10000000, m=2, more than a file holds"),
+    (2**62, f"expected 3^{2**62} values for n={2**62}, m=2, more than a file holds"),
+    # 3^37 values still fit in a file, so they are compared with this one
+    (37, f"expected {3**37} values for n=37, m=2, got 0"),
+], ids=["1e7", "2^62", "37"])
+def test_binary_rejects_huge_header_at_once(tmp_path, n, message):
+    # the node count (m+1)^n is multiplied up only while it fits in a file,
+    # so a malformed header fails at once and names the file
+    path = tmp_path / "field.bin"
+    path.write_bytes(np.array([n, 2], dtype="<i8").tobytes())
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        GridField.load_binary(path)
+    assert time.perf_counter() - t0 < 0.5
+    assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("n,m,message", [
+    (1, 4, "dimension must be >= 2, got n=1"),
+    (2, 0, "need at least one subdivision per axis, got m=0"),
+], ids=["n1", "m0"])
+def test_binary_rejects_invalid_header_naming_the_file(tmp_path, n, m, message):
+    path = tmp_path / "field.bin"
+    path.write_bytes(np.array([n, m], dtype="<i8").tobytes())
+    with pytest.raises(ValueError) as err:
+        GridField.load_binary(path)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_binary_load_holds_one_field(tmp_path):

@@ -2,7 +2,8 @@
 constants, comparison bounds between schemes, residual certificates,
 rejection of invalid right-hand sides, the discrete Lipschitz estimate, and
 the i_1-slab paths of full storage (rhs, error fold, certificate) against
-the per-front and, at n = 2, per-band paths of rolling storage."""
+the per-block paths of rolling storage (f per front, or from a band of
+fronts at n = 2, and the error fold on each block's own coordinates)."""
 
 import math
 import tracemalloc
@@ -380,8 +381,9 @@ def test_report_fields_populated():
 
 
 # ---------------------------------------------------------------------------
-# i_1-slab paths: full storage evaluates f and folds error_fn over slabs,
-# rolling storage per front, or per band of fronts at n = 2; residual_stats
+# i_1-slab paths: full storage evaluates f and folds error_fn over slabs;
+# rolling storage evaluates f per front, or per band of fronts at n = 2, and
+# folds error_fn per block on the block's own coordinates; residual_stats
 # runs over the same slabs
 # ---------------------------------------------------------------------------
 
@@ -632,10 +634,25 @@ def _on_grid_rhs(m):
     return f
 
 
+_NODE_ERR = lambda vals, xs: np.abs(vals - np.asarray(xs[-1]))  # per node
+_BROADCAST_ERRS = [
+    ("err-scalar", lambda vals, xs: 0.5),
+    ("err-x1-only", lambda vals, xs: np.sin(7.0 * np.asarray(xs[0]))),
+    ("err-self", lambda vals, xs: vals),  # a view of its input, or the input
+]
+
+
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
-@pytest.mark.parametrize("n,m", [(2, 30), (3, 7)] + [
-    # the rhs band of an n = 2 rolling solve, at and around its width
-    (2, m) for m in (1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1)
+@pytest.mark.parametrize("n,m,err", [
+    pytest.param(n, m, _NODE_ERR, id=f"{n}-{m}") for n, m in [(2, 30), (3, 7)] + [
+        # the rhs band of an n = 2 rolling solve, at and around its width
+        (2, m) for m in (1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1)]
+] + [
+    # error_fn results that are not per node: each fold broadcasts a scalar
+    # or a row, and reads a result that is its own values (err-self)
+    pytest.param(n, m, err, id=f"{n}-{m}-{name}")
+    for name, err in _BROADCAST_ERRS
+    for n, m in [(2, 1), (2, _BAND - 1), (2, 2 * _BAND + 1), (3, 7)]
 ])
 @pytest.mark.parametrize("rhs", [
     lambda xs: 1.0 + np.sin(3.0 * np.asarray(xs[0])),  # depends on x_1 only
@@ -643,11 +660,10 @@ def _on_grid_rhs(m):
     0.75,                                              # constant
     _on_grid_rhs,                                      # built per m
 ], ids=["x1-only", "scalar", "constant", "on-grid"])
-def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
+def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, err, kind):
     if rhs is _on_grid_rhs:
         rhs = _on_grid_rhs(m)
     spec = GridSpec(n, m)
-    err = lambda vals, xs: np.abs(vals - np.asarray(xs[-1]))
     full = solve(spec, kind, rhs, error_fn=err)
     roll = solve(spec, kind, rhs, storage="rolling", error_fn=err)
     same_report(full, roll)
@@ -659,7 +675,7 @@ def test_full_storage_broadcast_rhs_matches_rolling(rhs, n, m, kind):
 @pytest.mark.parametrize("node", [
     (5, 20),                          # front 25, in the first rhs band
     (100, 60),                        # front 160, in a middle band
-    (100, 0),                         # a face node on a masked rectangle
+    (100, 0),                         # a face node, next to an off-grid triangle
     (0, 2 * _BAND + 1),               # the other face, j = m
     (2 * _BAND, 2 * _BAND + 1),       # front 4B + 1, in the last, partial band
     (2 * _BAND + 1, 2 * _BAND + 1),   # the corner, the solve's last front
@@ -682,9 +698,12 @@ def test_nan_error_at_one_node_propagates(node, kind):
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
 @pytest.mark.parametrize("m", [1, _BAND - 1, _BAND, _BAND + 1, 2 * _BAND + 1])
 def test_error_fold_reads_no_value_off_the_grid(m, kind):
-    # nan wherever 0.0 sits at an interior coordinate: an n = 2 rolling
-    # solve hands error_fn 0.0 off its band's strips and at off-grid strip
-    # entries, while every interior node of the solve is positive
+    # nan wherever 0.0 sits at an interior coordinate, while every interior
+    # node of the solve is positive: no placeholder 0.0 may reach the max.
+    # An n = 2 rolling solve hands error_fn the off-grid triangles of its
+    # fold pieces, stale entries of its value block at the end coordinates,
+    # and keeps them out of the max (the bitwise tests with the u-scale
+    # error fail if it does not)
     spec = GridSpec(2, m)
 
     def err(vals, xs):
