@@ -101,7 +101,9 @@ class GridField:
         load holds one field. The header's node count (m+1)^n is multiplied
         up only while it fits in a file, so a malformed header fails at
         once, and a regular file's size is checked before the array is
-        allocated."""
+        allocated. A stream (a pipe or FIFO) is read into an array of the
+        header's size, and one too large to allocate fails as a malformed
+        header does."""
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
             if len(head) != _HEADER.size:
@@ -119,7 +121,11 @@ class GridField:
             st = os.fstat(fh.fileno())
             got = st.st_size - _HEADER.size if stat.S_ISREG(st.st_mode) else want
             if got == want:
-                data = np.empty(count, dtype="<f8")
+                try:  # a stream's size is unknown until it has been read
+                    data = np.empty(count, dtype="<f8")
+                except MemoryError:
+                    raise ValueError(f"{path}: expected {count} values for "
+                                     f"n={n}, m={m}, more than memory holds") from None
                 got = fh.readinto(data) + len(fh.read())
         if got != want:
             rest = f" and {got % 8} byte(s)" if got % 8 else ""

@@ -22,23 +22,27 @@ compaction of the batch (_band_root).
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. The
-engine walks them in blocks of consecutive fronts: each block's right-hand
-side is read and checked (finite, nonnegative) once, its fronts are updated
-in order, its residual is folded into the certificate (at n = 2 in two
-halves, which bounds the temporaries), and its values are written once,
-into the full field or, with rolling storage, only into the final i_1 = m
-slab. At n >= 3 a block is one front, a set of index
-arrays into the field (_Fronts, _FrontWalk). At n = 2 it is up to _BLOCK
-fronts (_BlockWalk): node (i, d - i) is entry i*m + d of the flat field, so
-the block is one strided view of the field, heads by fronts, whose off-grid
-entries lie in two small end triangles that are masked; per front only the
-closed form runs, on slices of a value block that holds the front before
-the block, so no index array is built. The certificate is a max-reduction
-(_max_violation), which falls back to the per-node _violation only where a
-target is <= 0 or the result is not finite. A node whose rhs is invalid, or
-whose value, product or target is not finite, stops the solve with a
-SolveError naming the first such node in front order (by front, then by
-head); a non-finite value stops it at its own front.
+engine walks them in blocks of consecutive fronts (_Walk), K = _BLOCK of
+them at n = 2 and one at n >= 3: each block's right-hand side is read and
+checked (finite, nonnegative) once, its fronts are updated in order, its
+residual is folded into the certificate (at n = 2 in two halves, which
+bounds the temporaries), and its values are written once, into the full
+field or, with rolling storage, only into the final i_1 = m slab. Node
+(I_1, ..., I_{n-1}, d - |I|) is entry d + sum_k I_k*((m+1)^(n-k) - 1) of the
+flat field, so in every dimension a block is one strided view of the field,
+fronts by a box of heads, and no index array is built. The view's off-grid
+entries, which alias other nodes, are masked through skewed views of padded
+tables over the last index, as are the last coordinate and S3's weight: at
+n = 2 they lie in two small end triangles. At n = 2 each front runs its
+closed form on its exact heads, on slices of a value block that holds the
+front before the block; at n >= 3 the front is bisected over its box, and
+its off-grid entries, whose rhs is 0, never join the batch. The certificate
+is a max-reduction (_max_violation), which falls back to the per-node
+_violation only where a target is <= 0 or the result is not finite. A node
+whose rhs is invalid, or whose value, product or target is not finite,
+stops the solve with a SolveError naming the first such node in front order
+(by front, then by head in lexicographic order); a non-finite value stops
+it at its own front.
 
 Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
@@ -46,15 +50,14 @@ sliced on axis 0). With full storage the right-hand side is written into the
 output field slab by slab before the pass, each block reads its rhs from
 there, and the error is folded over the same slabs after the pass. Rolling
 storage reads a GridField's values as full storage reads its field, through
-the same index arrays or strided views. It calls a callable or constant f
-per front at n >= 3 and, at n = 2, through a band of B fronts (_band_rhs),
-filled on sparse rectangles of at most T rows by T+B-1 columns whose skewed
-diagonal strips hold the band's nodes, so f's per-axis work runs on
-coordinate vectors, for O(B*(m+1)) extra memory. A rolling solve folds the
-error per block on the block's own coordinates: at n >= 3 the front's
-gathered coordinates, at n = 2 pieces of K/4 fronts by all their heads,
-whose x_2 is a skewed view of a padded coordinate table, with the off-grid
-triangles kept out of the max; all three folds are one expression
+the same strided views. It calls a callable or constant f on each block's
+coordinates at n >= 3, head coordinates as vectors that broadcast, and at
+n = 2 through a band of B fronts (_band_rhs), filled on sparse rectangles of
+at most B rows by 2B-1 columns whose skewed diagonal strips hold the band's
+nodes, so f's per-axis work runs on coordinate vectors, for O(B*(m+1))
+extra memory. A rolling solve folds the error per block on the block's own
+coordinates, at n = 2 in pieces of K/4 fronts, with the off-grid entries
+kept out of the max; the slab and block folds are one expression
 (_fold_error). residual_stats runs over the same slabs as full storage:
 each is copied into one buffer, zero-padded on the low face of every axis,
 whose shifted views are the backward neighbors for all three schemes, and
@@ -69,7 +72,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,15 +80,18 @@ from .grid import GridField, GridSpec
 BISECTION_CAP = 200
 _SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
 _COMPACT = 0.5  # gather the bisection batch once at most this share is live
-_BAND = 64  # fronts per rhs band of an n = 2 rolling solve (_band_rhs)
-_TILE = 64  # rows per rectangle that fills the band
-_BLOCK = 16  # fronts per block of an n = 2 solve (_BlockWalk)
+_BAND = 64  # fronts per rhs band of an n = 2 rolling solve, rows per fill (_band_rhs)
+_BLOCK = 16  # fronts per block of an n = 2 solve (_Walk)
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
-# unit (working_set_bytes): the front index, the per-front gathers, updates
-# and certificate, and the slab-wise rhs and error. tracemalloc measured at
-# most 47 on cases f1-f3 with the u-scale error, n = 2..6, either storage
-# (34-42 at n = 3, 4 once a slab is one row).
-WORK_ARRAYS = 56
+# unit (working_set_bytes): a front's value block and heads box, the
+# bisection batch and the certificate on it, and the slab-wise rhs and error.
+# tracemalloc measured at most 24.9 beyond SOLVE_FIXED_BYTES on cases f1-f3
+# and const with the u-scale error, callable and GridField rhs, n = 3..7
+# and small m up to n = 18, either storage (18-25 once a slab is one front,
+# at n = 3 m >= 127, n = 4 m >= 20, n = 5 m = 10, n = 10 m = 2 and
+# n >= 16 m = 1, where S3 gathers 2n arrays of the bisection batch; at most
+# 7.3 at n = 2).
+WORK_ARRAYS = 28
 # Peak traced bytes of the n = 2 pass beyond the field and the rolling band
 # and its fill, in float64 arrays of one block, K by m+2: U, the rhs block,
 # the certificate's temporaries on half a block, the closed form's on one
@@ -102,9 +107,9 @@ _BLOCK_ARRAYS = 6
 # results: tracemalloc measured at most 7.17 on 64 by 127 rectangles (7.93
 # on the 16 by 31 rectangles of m = 15), f1-f3 and const, S1-S3.
 _RECT_ARRAYS = 8
-# Bytes a solve holds at any size (array headers, front index, closures):
-# tracemalloc measured at most 12.8 KB above the work arrays on m = 1..3,
-# n = 2..6, f1-f3 and const with the u-scale error (n = 4, m = 1, rolling).
+# Bytes a solve holds at any size (array headers, tables over j, closures):
+# tracemalloc measured at most 15.0 KB above the work arrays on m = 1..3,
+# n = 2..6, f1-f3 and const with the u-scale error (n = 5, m = 1, rolling).
 SOLVE_FIXED_BYTES = 32 * 1024
 
 
@@ -336,8 +341,10 @@ def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
 
 
 def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
-    """Largest roots of the node equation for a batch of nodes; nodes with
-    f = 0 keep the lower bracket. BisectionCapError carries batch indices."""
+    """Largest roots of the node equation for an array of nodes, of any
+    shape (C broadcasts to it); nodes with f = 0 keep the lower bracket.
+    The nodes with f > 0 are bisected as one batch, gathered in C order
+    by one array of flat indices, which BisectionCapError carries."""
     b = _scaled_rhs(kind, f, h, n)
     if kind is SchemeKind.S3:
         lo = C[0] * A[0] / (1.0 + C[0])
@@ -347,24 +354,24 @@ def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
         lo = A[0].copy()
         for a in A[1:]:
             np.maximum(lo, a, out=lo)
-    t = lo.copy()
     pos = b > 0.0
+    t = lo  # the roots, written in place once lo is gathered
     if kind is SchemeKind.S2:
         corner = pos & (lo <= 0.0)
-        t[corner] = b[corner]  # all a_i = 0: t^n = b t^(n-1)
         pos &= lo > 0.0
-    nz = np.nonzero(pos)[0]
-    if nz.size:
-        A = [a[nz] for a in A]
-        lo = lo[nz]
+        np.copyto(t, b, where=corner)  # all a_i = 0: t^n = b t^(n-1)
+    act = np.flatnonzero(pos)
+    if act.size:
+        A = [a.take(act) for a in A]
+        lo, fa = lo.take(act), f.take(act)
         if kind is SchemeKind.S1:
-            hi = lo + h * np.power(f[nz], 1.0 / n)
+            hi = lo + h * np.power(fa, 1.0 / n)
         elif kind is SchemeKind.S2:
-            hi = sum(A[1:], A[0]) + b[nz]  # S(a, b) <= sum a_i + b
+            hi = sum(A[1:], A[0]) + b.take(act)  # S(a, b) <= sum a_i + b
         else:
-            C = [c[nz] for c in C]
-            hi = lo + np.power(f[nz] / math.prod(1.0 + c for c in C), 1.0 / n)
-        _band_root(kind, t, nz, A, C, b[nz], lo, hi, h, n, stats)
+            C = [np.broadcast_to(c, pos.shape).take(act) for c in C]
+            hi = lo + np.power(fa / math.prod(1.0 + c for c in C), 1.0 / n)
+        _band_root(kind, t.reshape(-1), act, A, C, b.take(act), lo, hi, h, n, stats)
     return t
 
 
@@ -477,11 +484,6 @@ def _fold_error(linf, error_fn, vals, x, where=True) -> float:
     return float(np.maximum(linf, np.max(E, where=where, initial=-math.inf)))
 
 
-def _band_dims(m: int) -> tuple[int, int]:
-    """(B, T): fronts per band and rows per rectangle of _band_rhs."""
-    return min(_BAND, m + 1), min(_TILE, m + 1)
-
-
 def _padded(table: np.ndarray, k: int) -> np.ndarray:
     """A read-only copy of table with k copies of its end values on either
     side, so that views of it past the grid read grid coordinates."""
@@ -510,7 +512,7 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
     solve with a callable or constant f, by fronts and heads, read from a
     band of B fronts: band[d - D, i] is f at node (i, d - i), for the
     fronts d in [D, D + B) with D a multiple of B. The fronts [d0, d1) lie
-    in one band, and where d0 = D fn fills it, from blocks of at most T
+    in one band, and where d0 = D fn fills it, from blocks of at most B
     rows [r0, r1): f on the sparse rectangle x[r0:r1] by
     x[c0:c0 + t + B - 1], with t = r1 - r0 and c0 = D - r1 + 1, holds front
     D + k of row r0 + r at (r, t - 1 - r + k), a skewed diagonal strip
@@ -519,7 +521,7 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
     of the axis read the end coordinates, so f sees grid coordinates only;
     those entries are off the grid."""
     m = spec.m
-    B, T = _band_dims(m)
+    B = min(_BAND, m + 1)
     xpad = _padded(xs, B - 1)
     band = np.empty((B, m + 1))
 
@@ -527,8 +529,8 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
         D = d0 - d0 % B
         if d0 == D:
             last = min(m, D + B - 1) + 1  # rows [max(0, D - m), last) meet the band
-            for r0 in range(max(0, D - m), last, T):
-                t = min(T, last - r0)
+            for r0 in range(max(0, D - m), last, B):
+                t = min(B, last - r0)
                 c0 = D - r0 - t + B  # D - r1 + 1 on the axis, shifted by the padding
                 X = (xs[r0:r0 + t, None], xpad[None, c0:c0 + t + B - 1])
                 band[:, r0:r0 + t] = _strip(fn(X), t, B).T
@@ -663,305 +665,223 @@ class SolveReport:
 # Front-streaming engine
 # ---------------------------------------------------------------------------
 
-class _Front(NamedTuple):
-    """Front d of _Fronts.front, as index arrays."""
+class _Walk:
+    """The engine's steps (_solve_fronts) over blocks of K consecutive
+    fronts [d0, d1): K = min(_BLOCK, m + 1) at n = 2 and 1 at n >= 3. No
+    block crosses a band of _band_rhs.
 
-    lo: int  # head positions [lo, hi)
-    hi: int
-    flat: np.ndarray  # the nodes' positions in the flat field
-    heads: list  # per head axis, the nodes' indices into an axis table
-    tail: np.ndarray  # the nodes' indices into the reversed last-axis table
-    inner: np.ndarray  # the S1/S2 update batch: inner nodes, within the front
-    dest: object  # where vals[src] lands in the engine's output
-    src: object
+    Node (I_1, ..., I_{n-1}, d - |I|) is entry d + sum_k I_k*s_k of the flat
+    field, s_k = (m+1)^(n-k) - 1. A block's heads lie in the box
+    [lo, hi) on every head axis, lo = max(0, d0 - (n-1)m) and
+    hi = min(d1 - 1, m) + 1, so its heads by fronts are one strided view of
+    the field (_view): one copy reads the block's rhs and one writes its
+    values back. Block arrays are taken by fronts, then heads in C order,
+    which is the order in which node() names their entries. The view's
+    entries with j = d - |I| outside [0, m] are off the grid and alias
+    other nodes. Views of tables over j, padded by P = (n-2)m + K on either
+    side, are skewed over a block (_skew): x_n, S3's weight c_n and the
+    masks. The masks set off-grid entries to 0.0 in the rhs, so they pass
+    its check and never join a bisection batch, and to 1.0 in the
+    certificate's product and target (also on the S1/S2 face j = 0), which
+    gives them no violation; the writes skip them. They lie within P of
+    either end of head axis 1, so only those strips are masked (_strips):
+    two K by K end triangles at n = 2, the whole box at n >= 3.
 
-
-class _Fronts:
-    """Heads (i_1, ..., i_{n-1}) sorted by digit sum, stably, so each front
-    of equal node digit-sum d is one contiguous run of head positions.
-
-    Front d holds the heads with sum in [max(0, d-m), min(d, (n-1)m)], each
-    with last index d - sum(head). The backward neighbor along head axis j
-    sits at position back[j], along the last axis at the same position, both
-    on front d-1. Where i_j = 0 (or the last index is 0) that position holds
-    some finite value of the wrong node: S1/S2 gather inner nodes only, and
-    S3 weights it by c_j = n*i_j = 0, so it drops out exactly. The engine
-    walks this index at n >= 3 (_FrontWalk); n = 2 needs none (_BlockWalk).
-    """
-
-    def __init__(self, spec: GridSpec, rolling: bool = False):
-        n, m = self.n, self.m = spec.n, spec.m
-        self.rolling = rolling
-        R = m + 1
-        digits = np.indices((R,) * (n - 1)).reshape(n - 1, -1)
-        total = digits.sum(axis=0)
-        order = np.argsort(total, kind="stable")
-        counts = np.bincount(total, minlength=(n - 1) * m + 1)
-        self.start = np.concatenate(([0], np.cumsum(counts)))
-        self.sum = total[order]
-        self.row = order  # linear index of the head among all heads
-        digits = digits[:, order]
-        self.idx = list(digits)
-        pos = np.empty_like(order)
-        pos[order] = np.arange(order.size)
-        self.back = [pos[np.where(i >= 1, order - R ** (n - 2 - j), order)]
-                     for j, i in enumerate(self.idx)]
-        self.inner = np.all(digits >= 1, axis=0)
-
-    def span(self, d: int) -> tuple[int, int]:
-        """Head positions [lo, hi) of front d."""
-        n, m = self.n, self.m
-        return (int(self.start[max(0, d - m)]),
-                int(self.start[min(d, (n - 1) * m) + 1]))
-
-    def node(self, p: int, d: int) -> tuple[int, ...]:
-        """Multi-index of the node at head position p on front d."""
-        return tuple(int(i[p]) for i in self.idx) + (d - int(self.sum[p]),)
-
-    def front(self, d: int) -> _Front:
-        """Front d. Its output goes to the flat field, or with rolling to
-        the final i_1 = m slab (dest, for the front's nodes src)."""
-        m = self.m
-        lo, hi = self.span(d)
-        s = self.sum[lo:hi]
-        flat = self.row[lo:hi] * (m + 1) + (d - s)
-        heads = [i[lo:hi] for i in self.idx]
-        tail = m - d + s
-        inner = np.nonzero(self.inner[lo:hi] & (s < d))[0]
-        if not self.rolling:
-            return _Front(lo, hi, flat, heads, tail, inner, flat, slice(None))
-        offset = m * (m + 1) ** (self.n - 1)
-        keep = flat >= offset
-        return _Front(lo, hi, flat, heads, tail, inner, flat[keep] - offset, keep)
-
-    def neighbors(self, prev, lo, hi, sel):
-        """The n backward neighbors, in axis order, of the nodes sel of the
-        front whose heads are [lo, hi). prev holds front d-1 by head
-        position behind one fixed 0: head p at prev[p + 1]."""
-        return ([prev[1:][b[lo:hi][sel]] for b in self.back]
-                + [prev[1 + lo:1 + hi][sel]])
-
-
-def _axis_tables(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A table over one axis's indices and its reversed copy, both
-    read-only, since views of them go to f and error_fn."""
-    rev = table[::-1].copy()
-    table.flags.writeable = rev.flags.writeable = False
-    return table, rev
-
-
-class _FrontWalk:
-    """The engine's steps at n >= 3 (_solve_fronts), where a block is one
-    front of _Fronts: read its rhs from src or call fn on its coordinates,
-    update it by bisection from front d-1 (prev, by head position behind
-    one fixed 0), fold error_fn over it (a rolling solve) and write it to
-    the field or the final slab."""
+    U holds K+1 fronts by all heads, (m+1)^(n-1) entries each, in C order
+    (_u): U[0] is front d0 - 1, U[k + 1] front d0 + k. So the axis-j
+    neighbors of a box of U[k + 1] are the box of U[k] shifted by one on
+    axis j, and the last-axis neighbors the box itself (_stencil). Head -1
+    on an axis has no entry of its own: it reads another entry of U, or
+    one of the zeros before U[0]. Only S3 reads it, at heads I_j = 0, and
+    weights it by c_j = 0, which needs it finite. At n = 2 each front runs
+    its closed form on its exact heads (the inner ones for S1/S2), so
+    S1/S2 boundary entries keep U's initial 0: a column is written only by
+    the fronts past its head. At n >= 3 the front is bisected over its box
+    (from head 1 for S1/S2) with the rhs 0 off the grid and on the S1/S2
+    face j = 0, where the update keeps its lower bracket, the max of the
+    neighbors, which is 0 there. So every entry of U is finite: off the
+    grid it is that lower bracket, at most its largest neighbor. A rolling
+    solve reads a GridField through the same view of its values and, at
+    n = 2, a callable f from the rows of _band_rhs (at n >= 3 f is called
+    on the block's coordinates, _axes); it folds error_fn over U's fronts
+    (_fold) and writes the heads with I_1 = m through the view of the
+    final slab at offset d - m."""
 
     def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
         n, m = spec.n, spec.m
+        K = self.K = min(_BLOCK, m + 1) if n == 2 else 1
+        P = self.P = (n - 2) * m + K
         self.spec, self.kind, self.out = spec, kind, out
-        self.src, self.fn, self.error_fn = src, fn, error_fn
-        self.fronts = _Fronts(spec, rolling)
-        self.prev = np.zeros(1 + (m + 1) ** (n - 1))
-        self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
-        self.cw, self.cw_rev = _axis_tables(n * np.arange(m + 1.0))  # S3 c_i
-
-    def spans(self):
-        return ((d, d + 1) for d in range(self.spec.n * self.spec.m + 1))
-
-    def read(self, d0, d1):
-        """The rhs of front d0, contiguous; node() names its entries."""
-        fr = self.fr = self.fronts.front(d0)
-        self.d, self.sel = d0, slice(None)
-        if self.fn is not None or self.error_fn is not None:
-            self.x = (tuple(self.xs[i] for i in fr.heads)
-                      + (self.xs_rev[fr.tail],))  # f's and error_fn's coordinates
-        if self.src is not None:
-            return self.src[fr.flat]
-        F = np.asarray(self.fn(self.x), dtype=np.float64)
-        return np.ascontiguousarray(np.broadcast_to(F, (fr.hi - fr.lo,)))
-
-    def update(self, F, stats):
-        """Solve the front by bisection; yield the certificate's inputs
-        (t, A, C, f, True): its update batch and their values."""
-        spec, kind, fr = self.spec, self.kind, self.fr
-        C = None
-        if kind.has_boundary_condition:
-            self.sel = fr.inner
-        else:
-            C = [self.cw[i] for i in fr.heads] + [self.cw_rev[fr.tail]]
-        fs = F[self.sel]
-        A = self.fronts.neighbors(self.prev, fr.lo, fr.hi, self.sel)
-        try:
-            self.t = _update_vec(kind, A, C, fs, spec.h, spec.n, stats)
-        except BisectionCapError as exc:
-            bad = self.node(int(exc.local_indices[0]))
-            raise SolveError(f"{exc} (first at node {bad})",
-                             multi_index=bad) from exc
-        yield self.t, A, C, fs, True
-
-    def node(self, k):
-        """Multi-index of entry k of the rhs, or of the update batch once
-        update() has run."""
-        fr = self.fr
-        return self.fronts.node(fr.lo + int(np.arange(fr.hi - fr.lo)[self.sel][k]),
-                                self.d)
-
-    def mask(self, product, target):
-        """Every entry of the batch is a node: nothing to mask."""
-
-    def write(self, linf):
-        fr = self.fr
-        if self.kind.has_boundary_condition:
-            vals = np.zeros(fr.hi - fr.lo)
-            vals[self.sel] = self.t
-        else:
-            vals = self.t
-        if self.error_fn is not None:
-            linf = _fold_error(linf, self.error_fn, vals, self.x)
-        self.prev[1 + fr.lo:1 + fr.hi] = vals
-        self.out[fr.dest] = vals[fr.src]
-        return linf
-
-
-def _window(P, s, mask, value):
-    """Set P[k, s + c] to value (a scalar, or an array shaped like P, read
-    at the same entry) where mask[k, c], over the columns of P that the
-    window [s, s + mask.shape[1]) covers."""
-    a, b = max(s, 0), min(s + mask.shape[1], P.shape[1])
-    if a < b:
-        np.copyto(P[:, a:b], value if np.isscalar(value) else value[:, a:b],
-                  where=mask[:, a - s:b - s])
-
-
-class _BlockWalk:
-    """The engine's steps at n = 2 (_solve_fronts), where a block is up to
-    K = min(_BLOCK, m + 1) consecutive fronts [d0, d1) and never crosses a
-    band of _band_rhs. Front d holds the heads i in [max(0, d - m),
-    min(d, m)], node (i, d - i), which is entry i*m + d of the flat field.
-    So the heads [lo, hi) by fronts of a block are one strided view of the
-    field with strides (m, 1) entries (_view): one copy reads the block's
-    rhs, and three write its values back. The view's off-grid entries,
-    i > d (j < 0) or i < d - m (j > m), alias other nodes: they lie in two
-    end triangles of at most K by K entries, which the block masks on its
-    own arrays with K by K triangular masks (_window): 0.0 in the rhs, so
-    they pass its check, and 1.0 in the certificate's product and target,
-    which gives them no violation. The field's own entries there keep their
-    values.
-
-    U holds the values, K+1 rows by heads behind one fixed 0: row 0 is
-    front d0 - 1, row k + 1 front d0 + k, head i at column i + 1. So the
-    backward neighbors of heads [a, b) of row k + 1 are the slices
-    U[k, a:b] and U[k, a + 1:b + 1]. S1/S2 update inner nodes only; their
-    boundary entries keep U's initial 0, since a row's column i + 1 is
-    written only by the fronts after i. Off-grid entries of U hold finite
-    values (S3 weights them by 0). A rolling solve reads a GridField
-    through the same view of its values and a callable f from the rows of
-    _band_rhs; it folds error_fn over U's rows (_fold) and copies U's last
-    column into the final slab."""
-
-    def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
-        m = spec.m
-        K = self.K = min(_BLOCK, m + 1)
-        self.spec, self.kind, self.out = spec, kind, out
-        self.src, self.rolling, self.error_fn = src, rolling, error_fn
-        self.U = np.zeros((K + 1, m + 2))
-        self.ge = np.triu(np.ones((K, K), dtype=bool))  # entries c >= k
-        self.lt = ~self.ge
-        self.xs, self.xs_rev = _axis_tables(spec.axis_coords())
-        # tables over j in [-K, m + K], which _skew reads by front and head;
-        # onpad is True on the grid, 0 <= j <= m
+        self.src, self.fn, self.rolling, self.error_fn = src, fn, rolling, error_fn
+        self.steps = [(m + 1) ** (n - k) - 1 for k in range(1, n)]
+        self.front = (m + 1) ** (n - 1)
+        self.ustep = [(m + 1) ** (n - 1 - k) for k in range(1, n)]
+        self.ulead = self.ustep[0]  # head -1 on axis 1 of U[0]
+        self.U = np.zeros(self.ulead + (K + 1) * self.front)
+        self.Uv = [self._view(self.U, self.ulead - s, 0, m + 1, K + 1, self.ustep, self.front)
+                   for s in [0] + self.ustep]  # unshifted, then shifted on each head axis
+        self.xs = spec.axis_coords()
+        self.xs.flags.writeable = False  # views of it go to f and error_fn
+        # tables over j in [-P, m + P], which _skew reads by fronts and heads
+        self.xpad = _padded(self.xs, P)  # x_n = j / m
+        self.on = np.pad(np.ones(m + 1, dtype=bool), P)  # 0 <= j <= m
+        self.off = [~self.on, ~self.on]  # j outside [j0, m], by j0
+        self.off[1][P] = True
         if kind is SchemeKind.S3:
-            self.cw = 2.0 * np.arange(m + 1)  # c_1 = 2 i
-            self.cpad = _padded(self.cw, K)  # c_2 = 2 j
-        if error_fn is not None:
-            self.xpad = _padded(self.xs, K)  # x_2 = j / m
-            self.onpad = np.pad(np.ones(m + 1, dtype=bool), K)
-        if src is None:
+            self.cw = n * np.arange(m + 1.0)  # c_i = n i
+            self.cpad = _padded(self.cw, P)
+        if src is None and n == 2:
             self.band_rows = _band_rhs(fn, spec, self.xs)
         else:
-            self.G = np.empty((m + 1, K))  # the rhs, by heads and fronts
+            self.G = np.empty(K * self.front)  # the rhs, by heads and fronts
 
     def spans(self):
-        N = 2 * self.spec.m + 1
-        B = _band_dims(self.spec.m)[0]
+        N = self.spec.n * self.spec.m + 1
+        B = min(_BAND, self.spec.m + 1)
         for D in range(0, N, B):
             for d0 in range(D, min(D + B, N), self.K):
                 yield d0, min(d0 + self.K, D + B, N)
 
     def _heads(self, d0, d1):
-        """Heads [lo, hi) of the fronts [d0, d1)."""
-        m = self.spec.m
-        return max(0, d0 - m), min(d1 - 1, m) + 1
+        """Heads [lo, hi), on every head axis, of the fronts [d0, d1)."""
+        n, m = self.spec.n, self.spec.m
+        return max(0, d0 - (n - 1) * m), min(d1 - 1, m) + 1
 
-    def _view(self, src):
-        """The block's heads by fronts in the flat field src: entry (c, k)
-        is src[(lo + c)*m + d0 + k]. NumPy checks that it stays inside."""
-        m, lo, s = self.spec.m, self.lo, src.itemsize
-        return np.ndarray((self.hi - lo, self.d1 - self.d0), np.float64, src,
-                          (lo * m + self.d0) * s, (m * s, s))
+    def _view(self, buf, base, lo, hi, rows, steps, rowstep=1):
+        """`rows` fronts, rowstep apart, by the heads [lo, hi) on the axes
+        of these strides, in the flat buffer buf, whose entry for the first
+        front and head 0 is `base`. NumPy checks that it stays inside."""
+        s = buf.itemsize
+        return np.ndarray((rows,) + (hi - lo,) * len(steps), np.float64, buf,
+                          (base + lo * sum(steps)) * s,
+                          (rowstep * s,) + tuple(k * s for k in steps))
+
+    def _u(self, r0, r1, c0, hi, shift=None):
+        """The fronts U[r0:r1] over the heads [c0, hi) on every head axis,
+        shifted by -1 on head axis `shift`."""
+        box = (slice(c0, hi),) * (self.spec.n - 1)
+        return self.Uv[0 if shift is None else shift + 1][(slice(r0, r1),) + box]
+
+    def _skew(self, table, p0, c0, shape):
+        """A table over j in [-P, m + P] by the fronts from p0 and the heads
+        from c0 on every head axis: entry (k, c_1, ...) is j's entry for
+        the node of head I = c0 + c on front p0 + k, a view with strides
+        (1, -1, ..., -1)."""
+        s, heads = table.itemsize, len(shape) - 1
+        return np.ndarray(shape, table.dtype, table,
+                          (self.P + p0 - heads * c0) * s, (s,) + (-s,) * heads)
+
+    def _axes(self, table, pad, p0, c0, shape):
+        """Per axis, a table over the indices (coordinates or S3 weights)
+        at the nodes of a piece shaped `shape`, by the fronts from p0 and
+        heads from c0: the head axes' as vectors that broadcast, the last
+        axis' as a _skew view of the padded table."""
+        w, heads = shape[1], len(shape) - 1
+        return ([table[c0:c0 + w].reshape((w,) + (1,) * (heads - 1 - k))
+                 for k in range(heads)] + [self._skew(pad, p0, c0, shape)])
+
+    def _strips(self, w):
+        """(a, b, masked): the columns [a, b) of head axis 1 of a piece w
+        heads wide, masked where they lie within P of either end."""
+        s = min(w, self.P)
+        e = max(s, w - s)
+        return [st for st in ((0, s, True), (s, e, False), (e, w, True)) if st[0] < st[1]]
+
+    def _off_grid(self, Xs, p0, c0, j0, value):
+        """Set the entries of the arrays Xs, of one shape, by the fronts
+        from p0 and heads from c0, to value where j > m or j < j0."""
+        off = self._skew(self.off[j0], p0, c0, Xs[0].shape)
+        for a, b, masked in self._strips(Xs[0].shape[1]):
+            for X in Xs if masked else ():
+                np.copyto(X[:, a:b], value, where=off[:, a:b])
 
     def read(self, d0, d1):
         """The rhs of the fronts [d0, d1) by heads [lo, hi), 0.0 off the
         grid; node() names its entries."""
+        n = self.spec.n
         self.d0, self.d1 = d0, d1
         lo, hi = self.lo, self.hi = self._heads(d0, d1)
-        self.p0, self.c0, self.ph = d0, lo, hi
-        if self.src is None:
+        shape = (d1 - d0,) + (hi - lo,) * (n - 1)
+        self.p0, self.c0, self.shape = d0, lo, shape
+        if self.src is None and n == 2:
             F = self.band_rows(d0, d1)[:, lo:hi]
-        else:  # copied in the view's order: its rows are runs of the field
-            G = self.G[:hi - lo, :d1 - d0]
-            np.copyto(G, self._view(self.src))
-            F = G.T
-        self._off_grid(F, d0, lo, 0, 0.0)
+        else:  # laid out as the view: its fronts are runs of the field
+            G = self.G[:math.prod(shape)].reshape(shape[1:] + shape[:1])
+            F = G.transpose(-1, *range(n - 1))
+            if self.src is not None:
+                np.copyto(F, self._view(self.src, d0, lo, hi, d1 - d0, self.steps))
+            else:
+                x = self._axes(self.xs, self.xpad, d0, lo, shape)
+                F[...] = np.asarray(self.fn(x), dtype=np.float64)
+        self._off_grid((F,), d0, lo, 0, 0.0)
         return F
 
-    def _off_grid(self, P, p0, c0, j0, value):
-        """Set the entries of P, by the fronts from p0 and heads from c0, to
-        value where j > m or j < j0."""
-        r = P.shape[0]
-        _window(P, p0 - self.spec.m - c0, self.lt[:r, :r], value)  # j > m
-        _window(P, p0 + 1 - j0 - c0, self.ge[:r, :r], value)  # j < j0
-
     def node(self, k):
-        """Multi-index of entry k, row-major, of the fronts from p0 by the
-        heads [c0, ph): those of the rhs, or of the certificate's piece."""
-        r, c = divmod(k, self.ph - self.c0)
-        return (self.c0 + c, self.p0 + r - self.c0 - c)
+        """Multi-index of entry k, in C order, of the piece by the fronts
+        from p0 and heads from c0 shaped `shape`: the rhs, or the
+        certificate's and the bisection's piece."""
+        r, *c = np.unravel_index(k, self.shape)
+        head = tuple(self.c0 + int(i) for i in c)
+        return head + (self.p0 + int(r) - sum(head),)
+
+    def _stencil(self, r0, r1, c0, hi):
+        """The values of the fronts d0 + [r0, r1) over the heads [c0, hi),
+        as views of U, and their n backward neighbors in axis order."""
+        A = [self._u(r0, r1, c0, hi, j) for j in range(self.spec.n - 1)]
+        return self._u(r0 + 1, r1 + 1, c0, hi), A + [self._u(r0, r1, c0, hi)]
 
     def update(self, F, stats):
-        """Solve the block's fronts in order by their closed forms, straight
-        into U, until one holds a value that is not finite; then yield the
-        certificate's inputs (t, A, C, f, finite) over the fronts solved, in
-        pieces of at most K/2 fronts by their heads [c0, ph) (the inner ones
-        for S1/S2), which bounds its temporaries."""
+        """Solve the block's fronts in order, straight into U: at n = 2 by
+        their closed forms until one holds a value that is not finite. Then
+        yield the certificate's inputs (t, A, C, f, finite) over the fronts
+        solved, in pieces of at most K/2 fronts by their heads [c0, ph)
+        (from head 1 for S1/S2), which bounds its temporaries; at n >= 3
+        the piece is the block's one front, bisected before it is
+        yielded."""
         spec, kind, U = self.spec, self.kind, self.U
-        m, h, d0, lo = spec.m, spec.h, self.d0, self.lo
+        n, m, h, d0, lo = spec.n, spec.m, spec.h, self.d0, self.lo
         bc = kind.has_boundary_condition
         s3 = kind is SchemeKind.S3
-        xs, xs_rev = self.xs, self.xs_rev
         rows, finite = self.d1 - d0, True
-        for k in range(rows):
-            d = d0 + k
-            a, b = max(0, d - m), min(d, m) + 1
-            if bc:  # inner nodes: i >= 1 and d - i >= 1
-                a, b = max(a, 1), min(b, d)
-            t = _closed(kind, (U[k, a:b], U[k, a + 1:b + 1]),
-                        (xs[a:b], xs_rev[m - d + a:m - d + b]) if s3 else None,
-                        F[k, a - lo:b - lo], h)
-            U[k + 1, a + 1:b + 1] = t
-            if not np.maximum.reduce(t, initial=0.0) < math.inf:
-                rows, finite = k + 1, False  # no later front runs
-                break
+        if n == 2:
+            x2 = self._skew(self.xpad, d0, lo, F.shape) if s3 else None
+            for k in range(rows):
+                d = d0 + k
+                a, b = max(0, d - m), min(d, m) + 1
+                if bc:  # inner nodes: i >= 1 and d - i >= 1
+                    a, b = max(a, 1), min(b, d)
+                u = self.ulead + k * (m + 1)  # U[k], head 0
+                t = _closed(kind, (U[u + a - 1:u + b - 1], U[u + a:u + b]),
+                            (self.xs[a:b], x2[k, a - lo:b - lo]) if s3 else None,
+                            F[k, a - lo:b - lo], h)
+                U[u + m + 1 + a:u + m + 1 + b] = t
+                if not np.maximum.reduce(t, initial=0.0) < math.inf:
+                    rows, finite = k + 1, False  # no later front runs
+                    break
         for r0, r1, c0, hi in self._pieces(rows, max(1, self.K // 2)):
             p0 = self.p0 = d0 + r0
             c0 = self.c0 = max(c0, 1) if bc else c0
-            self.ph = hi
-            C = ([self.cw[c0:hi], self._skew(self.cpad, p0, c0, r1 - r0, hi)]
-                 if s3 else None)
-            yield (U[r0 + 1:r1 + 1, c0 + 1:hi + 1],
-                   [U[r0:r1, c0:hi], U[r0:r1, c0 + 1:hi + 1]], C,
-                   F[r0:r1, c0 - lo:hi - lo], finite or r1 < rows)
+            self.shape = (r1 - r0,) + (hi - c0,) * (n - 1)
+            t, A = self._stencil(r0, r1, c0, hi)
+            C = self._axes(self.cw, self.cpad, p0, c0, self.shape) if s3 else None
+            f = F[(slice(r0, r1),) + (slice(c0 - lo, hi - lo),) * (n - 1)]
+            if n > 2:
+                self._bisect(t, A, C, f, stats)
+            yield t, A, C, f, finite or r1 < rows
+
+    def _bisect(self, t, A, C, f, stats):
+        """Solve the piece t, one front over its box, by bisection from its
+        neighbors A; f is the piece's rhs, which S1/S2 zero on the face
+        j = 0."""
+        spec, kind = self.spec, self.kind
+        if kind.has_boundary_condition:
+            self._off_grid((f,), self.p0, self.c0, 1, 0.0)
+        try:
+            t[...] = _update_vec(kind, A, C, f, spec.h, spec.n, stats)
+        except BisectionCapError as exc:
+            bad = self.node(int(exc.local_indices[0]))
+            raise SolveError(f"{exc} (first at node {bad})",
+                             multi_index=bad) from exc
 
     def _pieces(self, rows, step):
         """(r0, r1, lo, hi) of the block's fronts d0 + [r0, r1), step of
@@ -970,53 +890,43 @@ class _BlockWalk:
             r1 = min(r0 + step, rows)
             yield (r0, r1) + self._heads(self.d0 + r0, self.d0 + r1)
 
-    def _skew(self, table, p0, c0, rows, hi):
-        """A table over j in [-K, m + K] by the fronts from p0 and heads
-        [c0, hi): entry (k, c) is table[K + p0 + k - c0 - c], which is j's
-        entry for node (c0 + c, p0 + k - c0 - c), a view with strides
-        (1, -1)."""
-        s = table.itemsize
-        return np.ndarray((rows, hi - c0), table.dtype, table,
-                          (self.K + p0 - c0) * s, (s, -s))
-
     def mask(self, product, target):
         """1.0 off the grid, and for S1/S2 on the j = 0 face: no violation."""
         j0 = 1 if self.kind.has_boundary_condition else 0
-        self._off_grid(product, self.p0, self.c0, j0, 1.0)
-        self._off_grid(target, self.p0, self.c0, j0, 1.0)
+        self._off_grid((product, target), self.p0, self.c0, j0, 1.0)
 
     def write(self, linf):
         d0, d1, lo, hi, m = self.d0, self.d1, self.lo, self.hi, self.spec.m
-        K1, U = d1 - d0, self.U
+        K1 = d1 - d0
+        S = self._u(1, K1 + 1, lo, hi)
+        on = self._skew(self.on, d0, lo, S.shape)
         if not self.rolling:
-            S = U[1:K1 + 1, lo + 1:hi + 1]
-            V = self._view(self.out).T
-            s, u = d0 - m - lo, d0 + 1 - lo
-            _window(V, s, self.ge[:K1, :K1], S)  # on the grid: i >= d0 + k - m
-            V[:, max(s + K1, 0):u] = S[:, max(s + K1, 0):u]
-            _window(V, u, self.lt[:K1, :K1], S)  # on the grid: i <= d0 + k
+            V = self._view(self.out, d0, lo, hi, K1, self.steps)
+            for a, b, masked in self._strips(S.shape[1]):
+                np.copyto(V[:, a:b], S[:, a:b], where=on[:, a:b] if masked else True)
         else:
             if self.error_fn is not None:
                 linf = self._fold(linf)
-            if d1 > m:  # the fronts' last heads, i = m
+            if d1 > m:  # the fronts' heads with I_1 = m
                 k = max(d0, m) - d0
-                self.out[d0 + k - m:d1 - m] = U[1 + k:K1 + 1, m + 1]
-        U[0] = U[K1]
+                V = self._view(self.out, d0 + k - m, lo, hi, K1 - k, self.steps[1:])
+                np.copyto(V, S[k:, -1], where=on[k:, -1])
+        self._u(0, 1, lo, hi)[...] = self._u(K1, K1 + 1, lo, hi)
         return linf
 
     def _fold(self, linf):
         """linf folded with error_fn over the block's values in pieces of
-        K/4 fronts by all their heads, on the pieces' own coordinates: x_1
-        = xs[lo:hi] as a row and x_2 a _skew view of xpad. The entries off
-        the grid, two end triangles of stale values of U at the end
-        coordinates, go to error_fn too; the _skew view of onpad keeps them
+        K/4 fronts by all their heads, on the pieces' own coordinates
+        (_axes). The entries off the grid, stale values of U at the end
+        coordinates, go to error_fn too; the _skew view of `on` keeps them
         out of the max."""
+        n = self.spec.n
         for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, max(1, self.K // 4)):
-            p0, rows = self.d0 + r0, r1 - r0
-            x = (self.xs[lo:hi], self._skew(self.xpad, p0, lo, rows, hi))
+            p0, shape = self.d0 + r0, (r1 - r0,) + (hi - lo,) * (n - 1)
             linf = _fold_error(linf, self.error_fn,
-                               self.U[r0 + 1:r1 + 1, lo + 1:hi + 1], x,
-                               self._skew(self.onpad, p0, lo, rows, hi))
+                               self._u(r0 + 1, r1 + 1, lo, hi),
+                               self._axes(self.xs, self.xpad, p0, lo, shape),
+                               self._skew(self.on, p0, lo, shape))
         return linf
 
 
@@ -1044,11 +954,11 @@ def _certify(kind, walk, t, A, C, f, finite, h, n) -> float:
 
 def _solve_fronts(spec, kind, f, rolling, error_fn):
     """Single pass over the fronts d = 0..n*m, in blocks of consecutive
-    fronts: K of them at n = 2 (_BlockWalk), one at n >= 3 (_FrontWalk).
-    Each block's rhs is checked once, its fronts are solved in order, each
-    from the one before, its residual is certified (_certify, at n = 2 in
-    two halves), and its values go to the full field or, with rolling
-    storage, only into the final i_1 = m slab. With full storage the field
+    fronts (_Walk): K of them at n = 2, one at n >= 3. Each block's rhs is
+    checked once, its fronts are solved in order, each from the one before,
+    its residual is certified (_certify, at n = 2 in two halves), and its
+    values go to the full field or, with rolling storage, only into the
+    final i_1 = m slab. With full storage the field
     holds the rhs until a block overwrites it with its solution."""
     n, m, h = spec.n, spec.m, spec.h
     _check_rhs_spec(f, spec)
@@ -1061,8 +971,7 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
         src = f.values.reshape(-1)
     else:
         fn = _as_rhs(f)
-    walk = (_BlockWalk if n == 2 else _FrontWalk)(
-        spec, kind, src, fn, out, rolling, error_fn if rolling else None)
+    walk = _Walk(spec, kind, src, fn, out, rolling, error_fn if rolling else None)
     stats = _BisectStats()
     cert = 0.0
     linf = 0.0
@@ -1108,14 +1017,16 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     With storage="full" f is evaluated, and error_fn folded, over i_1-slabs
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
-    retained and the report carries the final axis-1 slab. At n = 2 the
-    fronts are solved in blocks of _BLOCK. A rolling solve reads a GridField
-    rhs from its values; it evaluates a callable or constant f per front at
-    n >= 3, and at n = 2 on row blocks of a band of fronts (_band_rhs)
-    before the band's fronts are solved. It folds error_fn per block on the
-    block's own coordinates once the block is solved. Either way a callable
-    f and error_fn must be elementwise on broadcastable coordinate arrays,
-    and the two storages agree bit for bit.
+    retained and the report carries the final axis-1 slab. The fronts are
+    solved in blocks, _BLOCK fronts at n = 2 and one at n >= 3, each a
+    strided view of the field. A rolling solve reads a GridField rhs from
+    its values; it evaluates a callable or constant f per front at n >= 3,
+    and at n = 2 on row blocks of a band of fronts (_band_rhs) before the
+    band's fronts are solved. It folds error_fn per block on the block's own
+    coordinates once the block is solved. Either way a callable f and
+    error_fn must be elementwise on broadcastable coordinate arrays, and the
+    two storages agree bit for bit. A SolveError names the first offending
+    node by front, then by head in lexicographic order.
     """
     kind = SchemeKind.parse(kind)
     if storage not in ("full", "rolling"):
@@ -1135,14 +1046,14 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
 
 def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
-    WORK_ARRAYS float64 arrays the size of its work unit, one front of
-    (m+1)^(n-1) nodes or one i_1-slab, whichever is larger, plus
-    SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS arrays
-    of one block of K fronts, K by m+2 (_BlockWalk): a full solve, which
+    WORK_ARRAYS float64 arrays the size of its work unit, one i_1-slab of
+    at least one row, which holds the box of heads of any front at n >= 3,
+    plus SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS
+    arrays of one block of K fronts, K by m+2 (_Walk): a full solve, which
     also fills the rhs and folds the error over i_1-slabs, is charged the
     larger of the two; a rolling solve holds no slab, only the block (with
     the error fold's pieces), the rhs band of B fronts and _RECT_ARRAYS
-    rectangles of T by T+B-1 nodes that fill it (_band_rhs). A GridField
+    rectangles of B by 2B-1 nodes that fill it (_band_rhs). A GridField
     rhs needs no band, but the charge does not depend on the rhs."""
     m = spec.m
     front = (m + 1) ** (spec.n - 1)
@@ -1151,8 +1062,8 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     if spec.n == 2:
         block = _BLOCK_ARRAYS * min(_BLOCK, m + 1) * (m + 2)
         if storage == "rolling":
-            B, T = _band_dims(m)
-            work = block + B * front + _RECT_ARRAYS * T * (T + B - 1)
+            B = min(_BAND, m + 1)
+            work = block + B * front + _RECT_ARRAYS * B * (2 * B - 1)
         else:
             work = max(work, block)
     return field + 8 * work + SOLVE_FIXED_BYTES

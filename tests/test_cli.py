@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,30 @@ def test_solve_field_file_with_huge_header_names_the_file(tmp_path, capsys):
     assert run_cli("solve", "--scheme", "s1", "--field-file", str(path),
                    "--n", "2", "--m", "8", "--out", str(tmp_path)) == 1
     assert f"error: {path}: expected 3^10000000 values" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_solve_field_file_fifo_with_huge_header_names_the_file(tmp_path, capsys):
+    # a stream's size is unknown, so the memory guard cannot check it against
+    # the header: 3^37 values (3.12 EiB) fail to allocate, as a data error
+    path = tmp_path / "rhs.fifo"
+    os.mkfifo(path)
+
+    def feed():
+        with open(path, "wb") as fh:
+            fh.write(np.array([37, 2], dtype="<i8").tobytes())
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        rc = run_cli("solve", "--scheme", "s1", "--field-file", str(path),
+                     "--n", "2", "--m", "10", "--out", str(tmp_path / "out"))
+    finally:
+        writer.join(timeout=10)
+    assert rc == 1
+    assert (f"error: {path}: expected {3**37} values for n=37, m=2, "
+            "more than memory holds") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_markdown_and_csv(tmp_path, capsys):

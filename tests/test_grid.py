@@ -1,4 +1,4 @@
-"""Grid indexing, sweep order, the solver's front index, rolling storage,
+"""Grid indexing, sweep order, the solver's block views, rolling storage,
 and file formats. The sweep order is C order, `np.ndindex(spec.shape)`, the
 order of the field files and of the scalar reference solve."""
 
@@ -10,7 +10,7 @@ import pytest
 
 from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import _BAND, SchemeKind, _Fronts, solve
+from hjsolve.schemes import _BAND, SchemeKind, _Walk, solve
 from hjsolve.testcases import make_case
 
 from props import field_csv_per_cell, rhs_values, same_report
@@ -98,71 +98,37 @@ def test_index_roundtrip_million_nodes():
         assert np.ravel_multi_index(mi, spec.shape) == probe
 
 
-def _front_as_arrays(fronts, fr, size):
-    """Every index of a front as an int array (dest and src may be
-    slices)."""
-    R = fronts.m + 1
-    return (np.arange(size)[fr.flat], [np.arange(R)[i] for i in fr.heads],
-            np.arange(R)[fr.tail], np.arange(fr.hi - fr.lo)[fr.inner],
-            np.arange(fr.hi - fr.lo)[fr.src])
-
-
-def test_front_index_partitions_by_digit_sum():
-    for n, m in ((2, 1), (2, 2), (2, 5), (3, 4), (4, 3)):
-        _check_front_index(GridSpec(n, m))
-
-
-def _check_front_index(spec):
-    n, m = spec.n, spec.m
-    R = m + 1
-    fronts = _Fronts(spec)
-    rolled = _Fronts(spec, rolling=True)
-    heads = [tuple(int(i[p]) for i in fronts.idx)
-             for p in range(fronts.row.size)]
-    prev = np.concatenate(([0.0], 1.0 + np.arange(fronts.row.size)))
-    slab = R ** (n - 1)  # nodes in the final i_1 = m slab
-    seen = set()
-    for d in range(n * m + 1):
-        lo, hi = fronts.span(d)
-        fr = fronts.front(d)
-        flat, hidx, tail, inner, _ = _front_as_arrays(fronts, fr, spec.num_nodes)
-        nodes = [fronts.node(p, d) for p in range(lo, hi)]
-        # the generic index arrays, from the sorted heads and digit sums
-        s = fronts.sum[lo:hi]
-        assert np.array_equal(flat, fronts.row[lo:hi] * R + d - s)
-        for j in range(n - 1):
-            assert np.array_equal(hidx[j], fronts.idx[j][lo:hi])
-        assert np.array_equal(tail, m - d + s)
-        assert np.array_equal(inner, np.nonzero(fronts.inner[lo:hi] & (s < d))[0])
-        # against the multi-indices themselves
-        assert list(inner) == [k for k, mi in enumerate(nodes) if min(mi) >= 1]
-        rf = rolled.front(d)
-        _, _, _, _, src = _front_as_arrays(rolled, rf, spec.num_nodes)
-        assert list(src) == [k for k, mi in enumerate(nodes) if mi[0] == m]
-        assert list(np.arange(slab)[rf.dest]) == \
-            [int(np.ravel_multi_index(mi, spec.shape)) - m * slab
-             for mi in nodes if mi[0] == m]
-        # backward neighbors: head position q + 1 in prev, 0 off the grid
-        A = fronts.neighbors(prev, lo, hi, fr.inner)
-        for b, k in enumerate(inner):
-            mi = nodes[k]
-            for j in range(n - 1):
-                q = heads.index(tuple(v - (i == j) for i, v in enumerate(mi[:-1])))
-                assert A[j][b] == prev[q + 1]
-            assert A[-1][b] == prev[lo + k + 1]
-        for k, (p, mi) in enumerate(zip(range(lo, hi), nodes)):
-            assert sum(mi) == d and 0 <= mi[-1] <= m and mi not in seen
-            assert np.ravel_multi_index(mi, spec.shape) == flat[k]
-            assert tuple(int(i[k]) for i in hidx) + (m - int(tail[k]),) == mi
-            seen.add(mi)
-            # backward neighbors along head axes sit on front d-1
-            for j in range(n - 1):
-                if mi[j] >= 1:
-                    q = fronts.back[j][p]
-                    assert heads[q] == tuple(v - (i == j) for i, v in
-                                             enumerate(heads[p]))
-                    assert d - 1 - sum(heads[q]) == mi[-1]
-    assert len(seen) == spec.num_nodes
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 5), (2, 20), (2, 70),
+                                 (3, 1), (3, 4), (4, 3)])
+def test_blocks_are_strided_views_of_the_field(n, m, storage):
+    # every block of fronts reads and writes the field through one strided
+    # view of heads by fronts, masked off the grid: its on-grid entries
+    # visit every node once, in front order (by digit sum, then
+    # lexicographic), and name the node at their flat position; the write
+    # puts each node's value back in place, and rolling storage puts the
+    # heads with I_1 = m into the final slab
+    spec = GridSpec(n, m)
+    rolling = storage == "rolling"
+    src = np.arange(1.0, spec.num_nodes + 1.0)  # node p holds p + 1
+    out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
+    walk = _Walk(spec, SchemeKind.S1, src, None, out, rolling, None)
+    seen = []
+    for d0, d1 in walk.spans():
+        F = walk.read(d0, d1)
+        for k, v in enumerate(F.flat):
+            mi = walk.node(k)
+            assert d0 <= sum(mi) < d1
+            if v:
+                assert np.ravel_multi_index(mi, spec.shape) == v - 1
+                seen.append(int(v) - 1)
+            else:
+                assert not 0 <= mi[-1] <= m
+        walk._u(1, d1 - d0 + 1, walk.lo, walk.hi)[...] = F
+        walk.write(0.0)
+    nodes = sorted(np.ndindex(spec.shape), key=lambda mi: (sum(mi), mi))
+    assert seen == [int(np.ravel_multi_index(mi, spec.shape)) for mi in nodes]
+    assert np.array_equal(out, src[spec.num_nodes - out.size:])
 
 
 @pytest.mark.parametrize("n,m,kind,case_name", [

@@ -315,9 +315,10 @@ def test_certificate_infinite_on_overflow(storage):
 @pytest.mark.parametrize("kind,case_name,cap", [("s1", "f2", 4), ("s3", "f2", 6)])
 def test_bisection_cap_names_first_failing_node(kind, case_name, cap, storage,
                                                monkeypatch):
-    # S1 bisects only the inner nodes of each front (selected by index),
-    # S3 every node; either way the error must name the first node, in
-    # front order, whose own update needs more bisections than the cap.
+    # S1 bisects only the inner nodes of each front (those with f > 0,
+    # gathered by the flat indices of a mask), S3 every node; either way
+    # the error must name the first node, in front order, whose own update
+    # needs more bisections than the cap.
     # The caps make that node neither the first of its front nor the first
     # still bisecting.
     spec = GridSpec(3, 8)
@@ -504,7 +505,9 @@ def test_full_solve_memory_with_u_scale_error(n, m, ratio, case_name, kind):
     (n, m, storage)
     for n, m in ((2, 8), (2, 300), (3, 8), (3, 40), (4, 24), (5, 8),
                  # tiny grids, where the fixed per-solve bytes dominate
-                 (2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1))
+                 (2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (4, 1), (5, 1), (6, 1),
+                 # small m, high n, where a front is a large share of the grid
+                 (10, 1), (12, 1), (16, 1), (10, 2))
     for storage in ("full", "rolling")
 ] + [
     # the rhs band of an n = 2 rolling solve, at and around its width
@@ -578,10 +581,13 @@ def _rhs_with(spec, values, rhs_kind):
     m = spec.m
 
     def f(xs):
-        x1, x2 = (np.asarray(x) for x in xs)
-        out = np.ones(np.broadcast_shapes(x1.shape, x2.shape))
-        for (i, j), v in values.items():
-            out = np.where((x1 == i / m) & (x2 == j / m), v, out)
+        xs = [np.asarray(x) for x in xs]
+        out = np.ones(np.broadcast_shapes(*(x.shape for x in xs)))
+        for node, v in values.items():
+            hit = True
+            for x, i in zip(xs, node):
+                hit = hit & (x == i / m)
+            out = np.where(hit, v, out)
         return out
     return f
 
@@ -600,6 +606,21 @@ def test_invalid_rhs_named_in_front_order_within_a_block(bad, kind, storage,
     with pytest.raises(SolveError) as err:
         solve(spec, kind, f, storage=storage)
     assert err.value.multi_index == (5, 3)
+
+
+@pytest.mark.parametrize("rhs_kind", ["callable", "field"])
+@pytest.mark.parametrize("storage", ["full", "rolling"])
+@pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
+def test_invalid_rhs_named_in_lexicographic_order_within_a_front(kind, storage,
+                                                                 rhs_kind):
+    # (1, 3, 2) and (2, 1, 3) are inner nodes of front 6 at n = 3: the solve
+    # names the first by head in lexicographic order, (1, 3, 2), although
+    # the head (2, 1) has the smaller digit sum
+    spec = GridSpec(3, 8)
+    f = _rhs_with(spec, {(2, 1, 3): np.nan, (1, 3, 2): np.nan}, rhs_kind)
+    with pytest.raises(SolveError) as err:
+        solve(spec, kind, f, storage=storage)
+    assert err.value.multi_index == (1, 3, 2)
 
 
 @pytest.mark.parametrize("rhs_kind", ["callable", "field"])
