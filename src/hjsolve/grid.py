@@ -41,6 +41,11 @@ class GridSpec:
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "m"):  # NumPy integers are stored as int
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 2:
             raise ValueError(f"dimension must be >= 2, got n={self.n}")
         if self.m < 1:

@@ -22,27 +22,31 @@ compaction of the batch (_band_root).
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. The
-engine walks them in blocks of consecutive fronts (_Walk), K = _BLOCK of
-them at n = 2 and one at n >= 3: each block's right-hand side is read and
-checked (finite, nonnegative) once, its fronts are updated in order, its
-residual is folded into the certificate (at n = 2 in two halves, which
-bounds the temporaries), and its values are written once, into the full
-field or, with rolling storage, only into the final i_1 = m slab. Node
-(I_1, ..., I_{n-1}, d - |I|) is entry d + sum_k I_k*((m+1)^(n-k) - 1) of the
-flat field, so in every dimension a block is one strided view of the field,
-fronts by a box of heads, and no index array is built. The view's off-grid
-entries, which alias other nodes, are masked through skewed views of padded
-tables over the last index, as are the last coordinate and S3's weight: at
-n = 2 they lie in two small end triangles. At n = 2 each front runs its
-closed form on its exact heads, on slices of a value block that holds the
-front before the block; at n >= 3 the front is bisected over its box, and
-its off-grid entries, whose rhs is 0, never join the batch. The certificate
-is a max-reduction (_max_violation), which falls back to the per-node
-_violation only where a target is <= 0 or the result is not finite. A node
-whose rhs is invalid, or whose value, product or target is not finite,
-stops the solve with a SolveError naming the first such node in front order
-(by front, then by head in lexicographic order); a non-finite value stops
-it at its own front.
+engine walks them in blocks of K consecutive fronts (_Walk): K = _BLOCK,
+at most m + 1, and at n >= 3 at most what the memory charge of
+working_set_bytes leaves (_block_fronts). Each block's right-hand side is
+read and checked (finite, nonnegative) once, its fronts are updated in
+order, its residual is folded into the certificate, and its values are
+written once, into the full field or, with rolling storage, only into the
+final i_1 = m slab. Node (I_1, ..., I_{n-1}, d - |I|) is entry
+d + sum_k I_k*((m+1)^(n-k) - 1) of the flat field, so in every dimension
+a block is one strided view of the field, fronts by a box of heads, whose
+stride-1 axis is the fronts. The view's off-grid entries, which alias
+other nodes, are masked through skewed views of padded tables over the
+last index: at n = 2 they lie in two small end triangles. At n = 2 each
+front runs its closed form on its exact heads, on slices of a value block
+that holds the front before the block, and the certificate runs in two
+halves of the block, which bounds the temporaries. At n >= 3 each front
+gathers its nodes from its box by flat index (for S1/S2 off the face
+j = 0), so the lower bracket, the scaled rhs, S3's weights, the bisection
+and the certificate run on them alone, and is certified before the next
+front runs. The certificate is a max-reduction (_max_violation), which
+falls back to the per-node _violation only where a target is <= 0 or the
+result is not finite. A node whose rhs is invalid, or whose value,
+product or target is not finite, stops the solve with a SolveError naming
+the first such node in front order (by front, then by head in
+lexicographic order), with the rhs of a whole block checked before its
+fronts run; a non-finite value stops it at its own front.
 
 Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
@@ -50,15 +54,15 @@ sliced on axis 0). With full storage the right-hand side is written into the
 output field slab by slab before the pass, each block reads its rhs from
 there, and the error is folded over the same slabs after the pass. Rolling
 storage reads a GridField's values as full storage reads its field, through
-the same strided views. It calls a callable or constant f on each block's
+the same strided views. It calls a callable or constant f on each front's
 coordinates at n >= 3, head coordinates as vectors that broadcast, and at
 n = 2 through a band of B fronts (_band_rhs), filled on sparse rectangles of
 at most B rows by 2B-1 columns whose skewed diagonal strips hold the band's
 nodes, so f's per-axis work runs on coordinate vectors, for O(B*(m+1))
 extra memory. A rolling solve folds the error per block on the block's own
-coordinates, at n = 2 in pieces of K/4 fronts, with the off-grid entries
-kept out of the max; the slab and block folds are one expression
-(_fold_error). residual_stats runs over the same slabs as full storage:
+coordinates, in pieces of K/4 fronts at n = 2 and of one front at n >= 3,
+with the off-grid entries kept out of the max; the slab and block folds
+are one expression (_fold_error). residual_stats runs over the same slabs as full storage:
 each is copied into one buffer, zero-padded on the low face of every axis,
 whose shifted views are the backward neighbors for all three schemes, and
 the S1/S2 zero boundary is checked once, on the n faces of the field. So a
@@ -83,15 +87,25 @@ _COMPACT = 0.5  # gather the bisection batch once at most this share is live
 _BAND = 64  # fronts per rhs band of an n = 2 rolling solve, rows per fill (_band_rhs)
 _BLOCK = 16  # fronts per block of an n = 2 solve (_Walk)
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
-# unit (working_set_bytes): a front's value block and heads box, the
-# bisection batch and the certificate on it, and the slab-wise rhs and error.
-# tracemalloc measured at most 24.9 beyond SOLVE_FIXED_BYTES on cases f1-f3
-# and const with the u-scale error, callable and GridField rhs, n = 3..7
-# and small m up to n = 18, either storage (18-25 once a slab is one front,
-# at n = 3 m >= 127, n = 4 m >= 20, n = 5 m = 10, n = 10 m = 2 and
-# n >= 16 m = 1, where S3 gathers 2n arrays of the bisection batch; at most
-# 7.3 at n = 2).
-WORK_ARRAYS = 28
+# unit (working_set_bytes): at n >= 3 a block of K fronts (_block_fronts) and
+# one front's gathered nodes through its bisection and certificate, and the
+# slab-wise rhs and error. tracemalloc measured at most 34.3 beyond
+# SOLVE_FIXED_BYTES on cases f1-f3 and const with the u-scale error, S1-S3,
+# either storage, where a slab is one front (26.0-34.3 at n = 3 m = 127 and
+# 160, n = 4 m = 20..40, n = 5 m = 10 and 12, n = 7 m = 4, n = 8 m = 3,
+# n = 10..12 m = 2 and n = 16 and 18 m = 1; 27.3-28.4 at n = 19 and 20, m = 1,
+# S3 with the constant rhs), at most 18.1 where a slab holds more rows
+# (n = 3 m = 40, n = 5 m = 8, n = 6 m = 5, n = 10 and 12 m = 1), and at most
+# 7.3 at n = 2.
+WORK_ARRAYS = 36
+# What one front of an n >= 3 block holds beside the block's 2K + 1 fronts,
+# in float64 arrays of one front, is at most _FRONT_ARRAYS + n/2
+# (_block_fronts): the gathered rhs and entries, the neighbors (for S3 its
+# 2n arrays c_i a_i and 1 + c_i), the brackets, the bisection's and the
+# certificate's temporaries, and a rolling solve's final slab. tracemalloc
+# measured 17.3 at n = 3..5 up to 21.5 at n = 12, m = 2 and 23.4 at n = 20,
+# m = 1, on the grids above.
+_FRONT_ARRAYS = 17
 # Peak traced bytes of the n = 2 pass beyond the field and the rolling band
 # and its fill, in float64 arrays of one block, K by m+2: U, the rhs block,
 # the certificate's temporaries on half a block, the closed form's on one
@@ -220,8 +234,9 @@ def _closed(kind, A, x, f, h):
 
 # ---------------------------------------------------------------------------
 # Scheme residual and band bisection (n >= 3).  A is the list of n
-# backward-neighbor arrays in axis order; C (S3 only) the per-axis weights
-# c_i = n*x_i/h; b the scaled right-hand side.
+# backward-neighbor arrays a_i in axis order; b the scaled right-hand side.
+# S3 takes its per-axis weights c_i = n*x_i/h as the pairs of _s3_pairs:
+# c_i*a_i in place of A and 1 + c_i as C.
 # ---------------------------------------------------------------------------
 
 def _pow_int(base: float, exponent: int) -> float:
@@ -238,17 +253,26 @@ def _scaled_rhs(kind, f, h, n):
     return f if kind is SchemeKind.S3 else np.multiply(_pow_int(h, n), f, order="C")
 
 
+def _s3_pairs(A, C):
+    """S3's neighbors A and weights C as _residual takes them: c_i*a_i and
+    1 + c_i, in axis order. They are generators, so a single pass over
+    them holds one factor at a time; a caller that reuses them lists them."""
+    return (c * a for c, a in zip(C, A)), (1.0 + c for c in C)
+
+
 def _residual(kind, t, A, C, b, n, clip=True):
     """(product, target) of the node equation of the module docstring at t,
-    with b in place of h^n f (S1, S2) or f (S3). The root finder and the
-    certificate both evaluate the equation here, so they agree bit for bit.
-    clip=False leaves out the (.)_+ of the S1/S2 factors t - a_i, which is
-    exact where t >= every a_i, as everywhere inside the bisection bracket."""
+    with b in place of h^n f (S1, S2) or f (S3), whose A and C are the
+    pairs of _s3_pairs. The root finder and the certificate both evaluate
+    the equation here, so they agree bit for bit. clip=False leaves out the
+    (.)_+ of the S1/S2 factors t - a_i, which is exact where t >= every
+    a_i, as everywhere inside the bisection bracket."""
     prod = None
-    for j, a in enumerate(A):
-        if kind is SchemeKind.S3:
-            fac = (1.0 + C[j]) * t
-            fac -= C[j] * a
+    s3 = kind is SchemeKind.S3
+    for a, p in zip(A, C if s3 else [None] * n):
+        if s3:
+            fac = p * t
+            fac -= a
             np.maximum(fac, 0.0, out=fac)
         else:
             fac = t - a
@@ -272,38 +296,46 @@ class _BisectStats:
         self.iters_max = 0
 
 
-def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
-    """Bisect the batch nodes `act` into the band [target, (1+h)*target] of
-    their residual and write the roots into t[act].
+def _band_root(kind, t, act, live, A, C, b, lo, hi, h, n, stats):
+    """Bisect the nodes that `live` marks into the band [target,
+    (1+h)*target] of their residual and write their roots into t.
 
-    A, C, b, lo and hi hold the values of the nodes in `act`; lo and hi are
-    overwritten. Preconditions: product < target at lo, product >= target at
-    hi, and 0 <= lo <= hi; for S1/S2 also lo >= every a_i, so their residual
-    is taken unclipped. The upper endpoint is accepted outright when it
+    Row r of A, C, b, lo and hi holds the values of entry act[r] of t, or
+    of entry r where act is None; S3's A and C are the lists of _s3_pairs,
+    so no step recomputes them. live, lo and hi are overwritten.
+    Preconditions: product < target at lo, product >= target at hi, and
+    0 <= lo <= hi; for S1/S2 also lo >= every a_i, so their residual is
+    taken unclipped. The upper endpoint is accepted outright when it
     already lies in the band. A node whose interval collapses to float
     resolution takes its upper endpoint, whose product is >= target.
 
     Every node sees the midpoints of plain bisection, however it is batched.
-    The bookkeeping is lazy: a finished node stays in the arrays, masked out
-    of `live`, until at most _COMPACT of the rows are live, and then every
-    array is gathered at once. The bracket moves without selects, with
-    high = product > upper and low = ~high (so a nan product moves lo):
-    lo = max(lo, mid * low) and hi = fmin(hi, mid / high). Both are exact
-    because 0 <= lo <= mid <= hi, so max(lo, 0) = lo and min(hi, mid) = mid,
-    and because mid / 0 is +inf (nan where mid = 0), which fmin skips.
+    The bookkeeping is lazy: a row that is not bisected, or has finished,
+    stays in the arrays, masked out of `live`, until at most _COMPACT of the
+    rows are live, and then every array is gathered at once. The bracket
+    moves without selects, with high = product > upper and low = ~high (so
+    a nan product moves lo): lo = max(lo, mid * low) and
+    hi = fmin(hi, mid / high). Both are exact because 0 <= lo <= mid <= hi,
+    so max(lo, 0) = lo and min(hi, mid) = mid, and because mid / 0 is +inf
+    (nan where mid = 0), which fmin skips.
     """
-    stats.nodes += act.size
+    def rows(sel):  # the entries of t of the rows sel
+        return sel if act is None else act[sel]
+
+    count = int(np.count_nonzero(live))
+    stats.nodes += count
     upper = None if kind is SchemeKind.S2 else (1.0 + h) * b  # target is b
     prod, target = _residual(kind, hi, A, C, b, n, clip=False)
     done = prod <= (1.0 + h) * target if upper is None else prod <= upper
-    t[act[done]] = hi[done]
-    live = ~done
-    count = act.size - int(np.count_nonzero(done))
+    done &= live
+    t[rows(done)] = hi[done]
+    live &= ~done
+    count -= int(np.count_nonzero(done))
     it = 0
     while count:
-        if count <= _COMPACT * act.size:
-            keep = np.nonzero(live)[0]
-            act, b, lo, hi = act[keep], b[keep], lo[keep], hi[keep]
+        if count <= _COMPACT * live.size:
+            keep = np.flatnonzero(live)
+            act, b, lo, hi = rows(keep), b[keep], lo[keep], hi[keep]
             A = [a[keep] for a in A]
             if C is not None:
                 C = [c[keep] for c in C]
@@ -314,7 +346,7 @@ def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
         if it > BISECTION_CAP:
             raise BisectionCapError(
                 f"bisection exceeded {BISECTION_CAP} iterations for "
-                f"{count} node(s)", local_indices=act[live])
+                f"{count} node(s)", local_indices=rows(np.flatnonzero(live)))
         mid = lo + hi
         mid *= 0.5
         prod, target = _residual(kind, mid, A, C, b, n, clip=False)
@@ -329,7 +361,7 @@ def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
         take &= live
         if take.any():
             sel = np.nonzero(take)[0]
-            t[act[sel]] = np.where(ok[sel], mid[sel], hi[sel])
+            t[rows(sel)] = np.where(ok[sel], mid[sel], hi[sel])
             stats.iters_total += it * sel.size
             stats.iters_max = max(stats.iters_max, it)
             live[sel] = False
@@ -341,37 +373,47 @@ def _band_root(kind, t, act, A, C, b, lo, hi, h, n, stats):
 
 
 def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
-    """Largest roots of the node equation for an array of nodes, of any
-    shape (C broadcasts to it); nodes with f = 0 keep the lower bracket.
-    The nodes with f > 0 are bisected as one batch, gathered in C order
-    by one array of flat indices, which BisectionCapError carries."""
+    """Largest roots of the node equation for 1-d arrays of nodes, S3's A
+    and C as the lists of _s3_pairs; nodes whose scaled rhs b is not > 0
+    keep the lower bracket. The others are bisected as one batch
+    (_band_root): masked in place while more than _COMPACT of the nodes
+    are in it, and gathered by one array of indices once at most that
+    share is. BisectionCapError carries the indices of the nodes that
+    exceed the cap."""
     b = _scaled_rhs(kind, f, h, n)
     if kind is SchemeKind.S3:
-        lo = C[0] * A[0] / (1.0 + C[0])
-        for j in range(1, n):
-            np.maximum(lo, C[j] * A[j] / (1.0 + C[j]), out=lo)
+        lo = A[0] / C[0]  # c_i a_i / (1 + c_i)
+        for a, p in zip(A[1:], C[1:]):
+            np.maximum(lo, a / p, out=lo)
     else:
         lo = A[0].copy()
         for a in A[1:]:
             np.maximum(lo, a, out=lo)
     pos = b > 0.0
-    t = lo  # the roots, written in place once lo is gathered
+    t = lo  # the roots, written in place once lo is gathered or copied
     if kind is SchemeKind.S2:
         corner = pos & (lo <= 0.0)
         pos &= lo > 0.0
         np.copyto(t, b, where=corner)  # all a_i = 0: t^n = b t^(n-1)
-    act = np.flatnonzero(pos)
-    if act.size:
+    count = int(np.count_nonzero(pos))
+    if not count:
+        return t
+    act = None
+    if count <= _COMPACT * pos.size:
+        act = np.flatnonzero(pos)
         A = [a.take(act) for a in A]
-        lo, fa = lo.take(act), f.take(act)
-        if kind is SchemeKind.S1:
-            hi = lo + h * np.power(fa, 1.0 / n)
-        elif kind is SchemeKind.S2:
-            hi = sum(A[1:], A[0]) + b.take(act)  # S(a, b) <= sum a_i + b
-        else:
-            C = [np.broadcast_to(c, pos.shape).take(act) for c in C]
-            hi = lo + np.power(fa / math.prod(1.0 + c for c in C), 1.0 / n)
-        _band_root(kind, t.reshape(-1), act, A, C, b.take(act), lo, hi, h, n, stats)
+        if C is not None:
+            C = [p.take(act) for p in C]
+        lo, f, b, pos = lo.take(act), f.take(act), b.take(act), np.ones(count, dtype=bool)
+    else:
+        lo = lo.copy()
+    if kind is SchemeKind.S1:
+        hi = lo + h * np.power(f, 1.0 / n)
+    elif kind is SchemeKind.S2:
+        hi = sum(A[1:], A[0]) + b  # S(a, b) <= sum a_i + b
+    else:
+        hi = lo + np.power(f / math.prod(C), 1.0 / n)
+    _band_root(kind, t, act, pos, A, C, b, lo, hi, h, n, stats)
     return t
 
 
@@ -402,7 +444,7 @@ def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
     if kind is SchemeKind.S3:
         if cs is None:
             cs = [inp.n * xi / inp.h for xi in inp.x]
-        C = [np.array([c], dtype=np.float64) for c in cs]
+        A, C = map(list, _s3_pairs(A, [np.array([c], dtype=np.float64) for c in cs]))
     f = np.array([inp.f_x], dtype=np.float64)
     return float(_update_vec(kind, A, C, f, inp.h, inp.n, _BisectStats())[0])
 
@@ -621,9 +663,11 @@ def residual_stats(field: GridField, kind: SchemeKind, f) -> float:
         else:
             inner = (slice(None),) * n
         b = _scaled_rhs(kind, _slab_rhs(f, spec, i0, i1, x)[inner], h, n)
-        worst = max(worst, _max_violation(*_residual(
-            kind, Q[pad][inner], [a[inner] for a in A], [C[0][i0:i1]] + C[1:],
-            b, n), h))
+        A = [a[inner] for a in A]
+        W = None
+        if kind is SchemeKind.S3:
+            A, W = _s3_pairs(A, [C[0][i0:i1]] + C[1:])
+        worst = max(worst, _max_violation(*_residual(kind, Q[pad][inner], A, W, b, n), h))
     return worst
 
 
@@ -665,51 +709,68 @@ class SolveReport:
 # Front-streaming engine
 # ---------------------------------------------------------------------------
 
+def _block_fronts(spec: GridSpec) -> int:
+    """K, the fronts per block of _Walk: _BLOCK, at most m + 1, and at
+    n >= 3 at most what the charge of working_set_bytes leaves, beyond
+    _FRONT_ARRAYS + n/2 arrays of one front, for U's K + 1 fronts and the
+    rhs block's K."""
+    K = min(_BLOCK, spec.m + 1)
+    if spec.n > 2:
+        spare = WORK_ARRAYS * _slab_rows(spec) - _FRONT_ARRAYS - spec.n // 2
+        K = min(K, max(1, (spare - 1) // 2))
+    return K
+
+
 class _Walk:
     """The engine's steps (_solve_fronts) over blocks of K consecutive
-    fronts [d0, d1): K = min(_BLOCK, m + 1) at n = 2 and 1 at n >= 3. No
-    block crosses a band of _band_rhs.
+    fronts [d0, d1), K = _block_fronts(spec). No block crosses a band of
+    _band_rhs.
 
     Node (I_1, ..., I_{n-1}, d - |I|) is entry d + sum_k I_k*s_k of the flat
     field, s_k = (m+1)^(n-k) - 1. A block's heads lie in the box
     [lo, hi) on every head axis, lo = max(0, d0 - (n-1)m) and
     hi = min(d1 - 1, m) + 1, so its heads by fronts are one strided view of
-    the field (_view): one copy reads the block's rhs and one writes its
-    values back. Block arrays are taken by fronts, then heads in C order,
-    which is the order in which node() names their entries. The view's
-    entries with j = d - |I| outside [0, m] are off the grid and alias
-    other nodes. Views of tables over j, padded by P = (n-2)m + K on either
-    side, are skewed over a block (_skew): x_n, S3's weight c_n and the
+    the field (_view), whose stride-1 axis is the fronts: one copy reads
+    the block's rhs, one check covers it, and one copy writes its values
+    back. Block arrays are taken by fronts, then heads in C order, which is
+    the order in which node() names their entries. The view's entries with
+    j = d - |I| outside [0, m] are off the grid and alias other nodes.
+    Views of tables over j, padded by P = (n-2)m + K on either side, are
+    skewed over a block (_skew): x_n, S3's weight c_n at n = 2 and the
     masks. The masks set off-grid entries to 0.0 in the rhs, so they pass
-    its check and never join a bisection batch, and to 1.0 in the
-    certificate's product and target (also on the S1/S2 face j = 0), which
-    gives them no violation; the writes skip them. They lie within P of
-    either end of head axis 1, so only those strips are masked (_strips):
-    two K by K end triangles at n = 2, the whole box at n >= 3.
+    its check, and, at n = 2, to 1.0 in the certificate's product and
+    target (also on the S1/S2 face j = 0), which gives them no violation;
+    the writes skip them. They lie within P of either end of head axis 1,
+    so only those strips are masked (_strips): two K by K end triangles at
+    n = 2, the whole box at n >= 3.
 
     U holds K+1 fronts by all heads, (m+1)^(n-1) entries each, in C order
     (_u): U[0] is front d0 - 1, U[k + 1] front d0 + k. So the axis-j
-    neighbors of a box of U[k + 1] are the box of U[k] shifted by one on
-    axis j, and the last-axis neighbors the box itself (_stencil). Head -1
+    neighbors of a head of U[k + 1] are its entry in U[k] less the head
+    stride of axis j, and the last-axis neighbor its entry in U[k]. Head -1
     on an axis has no entry of its own: it reads another entry of U, or
     one of the zeros before U[0]. Only S3 reads it, at heads I_j = 0, and
     weights it by c_j = 0, which needs it finite. At n = 2 each front runs
-    its closed form on its exact heads (the inner ones for S1/S2), so
-    S1/S2 boundary entries keep U's initial 0: a column is written only by
-    the fronts past its head. At n >= 3 the front is bisected over its box
-    (from head 1 for S1/S2) with the rhs 0 off the grid and on the S1/S2
-    face j = 0, where the update keeps its lower bracket, the max of the
-    neighbors, which is 0 there. So every entry of U is finite: off the
-    grid it is that lower bracket, at most its largest neighbor. A rolling
-    solve reads a GridField through the same view of its values and, at
-    n = 2, a callable f from the rows of _band_rhs (at n >= 3 f is called
-    on the block's coordinates, _axes); it folds error_fn over U's fronts
-    (_fold) and writes the heads with I_1 = m through the view of the
-    final slab at offset d - m."""
+    its closed form on its exact heads (the inner ones for S1/S2), on
+    shifted views of U over a box (_stencil). At n >= 3 each front is
+    bisected on its nodes (_front), gathered from U by their entries, and
+    only their values are put back. Either way an entry of U is written
+    only by the fronts on which its head is a node that takes a value, so
+    entries for heads past the front (j < 0) and the S1/S2 faces keep U's
+    initial 0, the other entries off the grid keep values of earlier
+    fronts, and every entry of U is finite. A rolling solve reads a
+    GridField through the same view of its values and, at n = 2, a
+    callable f from the rows of _band_rhs (at n >= 3 it calls f on each
+    front's coordinates, _axes); it folds error_fn over U's fronts (_fold)
+    and writes the heads with I_1 = m through the view of the final slab
+    at offset d - m."""
 
     def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
         n, m = spec.n, spec.m
-        K = self.K = min(_BLOCK, m + 1) if n == 2 else 1
+        K = self.K = _block_fronts(spec)
+        # fronts per piece of a rolling solve's f calls and error fold,
+        # which bounds their temporaries
+        self.step = max(1, K // 4) if n == 2 else 1
         P = self.P = (n - 2) * m + K
         self.spec, self.kind, self.out = spec, kind, out
         self.src, self.fn, self.rolling, self.error_fn = src, fn, rolling, error_fn
@@ -717,6 +778,7 @@ class _Walk:
         self.front = (m + 1) ** (n - 1)
         self.ustep = [(m + 1) ** (n - 1 - k) for k in range(1, n)]
         self.ulead = self.ustep[0]  # head -1 on axis 1 of U[0]
+        self.ushape = (m + 1,) * (n - 1)  # a front of U
         self.U = np.zeros(self.ulead + (K + 1) * self.front)
         self.Uv = [self._view(self.U, self.ulead - s, 0, m + 1, K + 1, self.ustep, self.front)
                    for s in [0] + self.ustep]  # unshifted, then shifted on each head axis
@@ -727,7 +789,8 @@ class _Walk:
         self.on = np.pad(np.ones(m + 1, dtype=bool), P)  # 0 <= j <= m
         self.off = [~self.on, ~self.on]  # j outside [j0, m], by j0
         self.off[1][P] = True
-        if kind is SchemeKind.S3:
+        self.valued = ~self.off[1 if kind.has_boundary_condition else 0]  # _front
+        if kind is SchemeKind.S3 and n == 2:
             self.cw = n * np.arange(m + 1.0)  # c_i = n i
             self.cpad = _padded(self.cw, P)
         if src is None and n == 2:
@@ -802,7 +865,7 @@ class _Walk:
         self.d0, self.d1 = d0, d1
         lo, hi = self.lo, self.hi = self._heads(d0, d1)
         shape = (d1 - d0,) + (hi - lo,) * (n - 1)
-        self.p0, self.c0, self.shape = d0, lo, shape
+        self.p0, self.c0, self.shape, self.upos = d0, lo, shape, None
         if self.src is None and n == 2:
             F = self.band_rows(d0, d1)[:, lo:hi]
         else:  # laid out as the view: its fronts are runs of the field
@@ -810,16 +873,22 @@ class _Walk:
             F = G.transpose(-1, *range(n - 1))
             if self.src is not None:
                 np.copyto(F, self._view(self.src, d0, lo, hi, d1 - d0, self.steps))
-            else:
-                x = self._axes(self.xs, self.xpad, d0, lo, shape)
-                F[...] = np.asarray(self.fn(x), dtype=np.float64)
+            else:  # n >= 3: each front on its own heads, where it meets the grid
+                for r0, r1, a, b in self._pieces(d1 - d0, self.step):
+                    x = self._axes(self.xs, self.xpad, d0 + r0, a, (r1 - r0,) + (b - a,) * (n - 1))
+                    F[(slice(r0, r1),) + (slice(a - lo, b - lo),) * (n - 1)] = self.fn(x)
         self._off_grid((F,), d0, lo, 0, 0.0)
         return F
 
     def node(self, k):
         """Multi-index of entry k, in C order, of the piece by the fronts
         from p0 and heads from c0 shaped `shape`: the rhs, or the
-        certificate's and the bisection's piece."""
+        certificate's piece; at n >= 3 the bisection's and the
+        certificate's entry k is the node of front p0 at entry upos[k] of a
+        front of U."""
+        if self.upos is not None:
+            head = tuple(int(i) for i in np.unravel_index(self.upos[k], self.ushape))
+            return head + (self.p0 - sum(head),)
         r, *c = np.unravel_index(k, self.shape)
         head = tuple(self.c0 + int(i) for i in c)
         return head + (self.p0 + int(r) - sum(head),)
@@ -831,57 +900,98 @@ class _Walk:
         return self._u(r0 + 1, r1 + 1, c0, hi), A + [self._u(r0, r1, c0, hi)]
 
     def update(self, F, stats):
-        """Solve the block's fronts in order, straight into U: at n = 2 by
-        their closed forms until one holds a value that is not finite. Then
-        yield the certificate's inputs (t, A, C, f, finite) over the fronts
-        solved, in pieces of at most K/2 fronts by their heads [c0, ph)
-        (from head 1 for S1/S2), which bounds its temporaries; at n >= 3
-        the piece is the block's one front, bisected before it is
-        yielded."""
+        """Solve the block's fronts in order, straight into U, and return
+        the largest band violation of their pieces (_certify on t, A, C,
+        f, finite; S3's A and C as the pairs of _s3_pairs); no piece
+        outlives its certificate. At n = 2 the fronts run their closed
+        forms until one holds a value that is not finite, and the
+        certificate follows over the fronts solved, in pieces of at most
+        K/2 fronts by their heads [c0, ph) (from head 1 for S1/S2), which
+        bounds its temporaries. At n >= 3 each front is bisected on its
+        nodes (_front) and certified before the next front runs, so a
+        front whose certificate fails feeds no later one."""
         spec, kind, U = self.spec, self.kind, self.U
         n, m, h, d0, lo = spec.n, spec.m, spec.h, self.d0, self.lo
         bc = kind.has_boundary_condition
         s3 = kind is SchemeKind.S3
-        rows, finite = self.d1 - d0, True
-        if n == 2:
-            x2 = self._skew(self.xpad, d0, lo, F.shape) if s3 else None
+        rows, finite, worst = self.d1 - d0, True, 0.0
+        if n > 2:
             for k in range(rows):
-                d = d0 + k
-                a, b = max(0, d - m), min(d, m) + 1
-                if bc:  # inner nodes: i >= 1 and d - i >= 1
-                    a, b = max(a, 1), min(b, d)
-                u = self.ulead + k * (m + 1)  # U[k], head 0
-                t = _closed(kind, (U[u + a - 1:u + b - 1], U[u + a:u + b]),
-                            (self.xs[a:b], x2[k, a - lo:b - lo]) if s3 else None,
-                            F[k, a - lo:b - lo], h)
-                U[u + m + 1 + a:u + m + 1 + b] = t
-                if not np.maximum.reduce(t, initial=0.0) < math.inf:
-                    rows, finite = k + 1, False  # no later front runs
-                    break
+                worst = max(worst, _certify(kind, self, *self._front(k, F, stats), h, n))
+            return worst
+        x2 = self._skew(self.xpad, d0, lo, F.shape) if s3 else None
+        for k in range(rows):
+            d = d0 + k
+            a, b = max(0, d - m), min(d, m) + 1
+            if bc:  # inner nodes: i >= 1 and d - i >= 1
+                a, b = max(a, 1), min(b, d)
+            u = self.ulead + k * (m + 1)  # U[k], head 0
+            t = _closed(kind, (U[u + a - 1:u + b - 1], U[u + a:u + b]),
+                        (self.xs[a:b], x2[k, a - lo:b - lo]) if s3 else None,
+                        F[k, a - lo:b - lo], h)
+            U[u + m + 1 + a:u + m + 1 + b] = t
+            if not np.maximum.reduce(t, initial=0.0) < math.inf:
+                rows, finite = k + 1, False  # no later front runs
+                break
         for r0, r1, c0, hi in self._pieces(rows, max(1, self.K // 2)):
             p0 = self.p0 = d0 + r0
             c0 = self.c0 = max(c0, 1) if bc else c0
             self.shape = (r1 - r0,) + (hi - c0,) * (n - 1)
             t, A = self._stencil(r0, r1, c0, hi)
-            C = self._axes(self.cw, self.cpad, p0, c0, self.shape) if s3 else None
+            C = None
+            if s3:
+                A, C = _s3_pairs(A, self._axes(self.cw, self.cpad, p0, c0, self.shape))
             f = F[(slice(r0, r1),) + (slice(c0 - lo, hi - lo),) * (n - 1)]
-            if n > 2:
-                self._bisect(t, A, C, f, stats)
-            yield t, A, C, f, finite or r1 < rows
+            worst = max(worst, _certify(kind, self, t, A, C, f, finite or r1 < rows, h, n))
+        return worst
 
-    def _bisect(self, t, A, C, f, stats):
-        """Solve the piece t, one front over its box, by bisection from its
-        neighbors A; f is the piece's rhs, which S1/S2 zero on the face
-        j = 0."""
-        spec, kind = self.spec, self.kind
+    def _front(self, k, F, stats):
+        """Solve front d = d0 + k (n >= 3) by bisection on its nodes, and
+        return the certificate's inputs on them. They are the entries of
+        the front's box (from head 1 for S1/S2) on the grid, for S1/S2 off
+        the face j = 0, which a _skew view of `valued` marks. Their flat
+        indices in the box, in C order, give their rhs (from a C-order copy
+        of the box's), their heads, by division, and their entries in a
+        front of U, from which the neighbors are taken and into which the
+        values are put. The other entries of U keep what they hold: 0 for
+        heads past the front and on the S1/S2 faces, and finite elsewhere,
+        where only S3 reads them, at heads I_k = 0 or j = 0, with the weight
+        0. S3's weights are n*I_k and n*j."""
+        spec, kind, U = self.spec, self.kind, self.U
+        n, h, d = spec.n, spec.h, self.d0 + k
+        a, b = self._heads(d, d + 1)
         if kind.has_boundary_condition:
-            self._off_grid((f,), self.p0, self.c0, 1, 0.0)
+            a = max(a, 1)
+        w = b - a
+        pos = np.flatnonzero(self._skew(self.valued, d, a, (1,) + (w,) * (n - 1)))
+        f = F[(k,) + (slice(a - self.lo, b - self.lo),) * (n - 1)].take(pos)
+        heads, rest = [], pos
+        for e in range(n - 2, 0, -1):
+            heads.append(rest // w ** e)
+            rest = rest - heads[-1] * w ** e
+        heads.append(rest)
+        pos += a * sum(self.ustep)  # the flat indices become entries in place
+        for q, e, s in zip(heads, range(n - 2, 0, -1), self.ustep):
+            pos += q * (s - w ** e)
+        self.p0, self.upos = d, pos
+        base = self.ulead + k * self.front  # U[k], head 0
+        A = [U[base - s:].take(pos) for s in self.ustep] + [U[base:].take(pos)]
+        C = None
+        if kind is SchemeKind.S3:  # c_i a_i and 1 + c_i in place of a_i and c_i
+            C = [q * float(n) + a * n for q in heads]  # exact: integers
+            C.append(d * n - sum(C[1:], C[0]))
+            for a_, c in zip(A, C):
+                np.multiply(a_, c, out=a_)
+                np.add(c, 1.0, out=c)
+        del heads, rest
         try:
-            t[...] = _update_vec(kind, A, C, f, spec.h, spec.n, stats)
+            t = _update_vec(kind, A, C, f, h, n, stats)
         except BisectionCapError as exc:
             bad = self.node(int(exc.local_indices[0]))
             raise SolveError(f"{exc} (first at node {bad})",
                              multi_index=bad) from exc
+        U[base + self.front:][pos] = t
+        return t, A, C, f, True
 
     def _pieces(self, rows, step):
         """(r0, r1, lo, hi) of the block's fronts d0 + [r0, r1), step of
@@ -891,9 +1001,12 @@ class _Walk:
             yield (r0, r1) + self._heads(self.d0 + r0, self.d0 + r1)
 
     def mask(self, product, target):
-        """1.0 off the grid, and for S1/S2 on the j = 0 face: no violation."""
-        j0 = 1 if self.kind.has_boundary_condition else 0
-        self._off_grid((product, target), self.p0, self.c0, j0, 1.0)
+        """1.0 off the grid, and for S1/S2 on the j = 0 face: no violation.
+        At n >= 3 the certificate runs on a front's gathered nodes, which
+        need no mask."""
+        if self.upos is None:
+            j0 = 1 if self.kind.has_boundary_condition else 0
+            self._off_grid((product, target), self.p0, self.c0, j0, 1.0)
 
     def write(self, linf):
         d0, d1, lo, hi, m = self.d0, self.d1, self.lo, self.hi, self.spec.m
@@ -916,12 +1029,12 @@ class _Walk:
 
     def _fold(self, linf):
         """linf folded with error_fn over the block's values in pieces of
-        K/4 fronts by all their heads, on the pieces' own coordinates
+        `step` fronts by all their heads, on the pieces' own coordinates
         (_axes). The entries off the grid, stale values of U at the end
         coordinates, go to error_fn too; the _skew view of `on` keeps them
         out of the max."""
         n = self.spec.n
-        for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, max(1, self.K // 4)):
+        for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, self.step):
             p0, shape = self.d0 + r0, (r1 - r0,) + (hi - lo,) * (n - 1)
             linf = _fold_error(linf, self.error_fn,
                                self._u(r0 + 1, r1 + 1, lo, hi),
@@ -953,13 +1066,13 @@ def _certify(kind, walk, t, A, C, f, finite, h, n) -> float:
 
 
 def _solve_fronts(spec, kind, f, rolling, error_fn):
-    """Single pass over the fronts d = 0..n*m, in blocks of consecutive
-    fronts (_Walk): K of them at n = 2, one at n >= 3. Each block's rhs is
-    checked once, its fronts are solved in order, each from the one before,
-    its residual is certified (_certify, at n = 2 in two halves), and its
-    values go to the full field or, with rolling storage, only into the
-    final i_1 = m slab. With full storage the field
-    holds the rhs until a block overwrites it with its solution."""
+    """Single pass over the fronts d = 0..n*m, in blocks of K consecutive
+    fronts (_Walk, _block_fronts). Each block's rhs is checked once, its
+    fronts are solved in order, each from the one before, its residual is
+    certified (_certify: at n = 2 in two halves, at n >= 3 per front), and
+    its values go to the full field or, with rolling storage, only into
+    the final i_1 = m slab. With full storage the field holds the rhs
+    until a block overwrites it with its solution."""
     n, m, h = spec.n, spec.m, spec.h
     _check_rhs_spec(f, spec)
     out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
@@ -984,9 +1097,7 @@ def _solve_fronts(spec, kind, f, rolling, error_fn):
             node = walk.node(k)
             raise SolveError(f"invalid right-hand side f={F.flat[k]} at node {node}",
                              multi_index=node)
-        # no piece outlives its certificate
-        cert = max(cert, *(_certify(kind, walk, *piece, h, n)
-                           for piece in walk.update(F, stats)))
+        cert = max(cert, walk.update(F, stats))
         linf = walk.write(linf)
     del walk, F  # the error fold needs no block buffer
 
@@ -1018,11 +1129,12 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
     retained and the report carries the final axis-1 slab. The fronts are
-    solved in blocks, _BLOCK fronts at n = 2 and one at n >= 3, each a
-    strided view of the field. A rolling solve reads a GridField rhs from
-    its values; it evaluates a callable or constant f per front at n >= 3,
-    and at n = 2 on row blocks of a band of fronts (_band_rhs) before the
-    band's fronts are solved. It folds error_fn per block on the block's own
+    solved in blocks of up to _BLOCK fronts, fewer at n >= 3 where the
+    memory charge demands it (_block_fronts), each a strided view of the
+    field. A rolling solve reads a GridField rhs from its values; it
+    evaluates a callable or constant f per front at n >= 3, and at n = 2
+    on row blocks of a band of fronts (_band_rhs) before the band's fronts
+    are solved. It folds error_fn per block on the block's own
     coordinates once the block is solved. Either way a callable f and
     error_fn must be elementwise on broadcastable coordinate arrays, and the
     two storages agree bit for bit. A SolveError names the first offending
@@ -1048,7 +1160,10 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
     WORK_ARRAYS float64 arrays the size of its work unit, one i_1-slab of
     at least one row, which holds the box of heads of any front at n >= 3,
-    plus SOLVE_FIXED_BYTES. At n = 2 the pass holds instead _BLOCK_ARRAYS
+    plus SOLVE_FIXED_BYTES. At n >= 3 the pass holds a block of K fronts
+    (U's K + 1 and the rhs block's K, each at most one front) and one
+    front's _FRONT_ARRAYS, and _block_fronts picks K so that they fit in
+    the charge. At n = 2 the pass holds instead _BLOCK_ARRAYS
     arrays of one block of K fronts, K by m+2 (_Walk): a full solve, which
     also fills the rhs and folds the error over i_1-slabs, is charged the
     larger of the two; a rolling solve holds no slab, only the block (with

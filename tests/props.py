@@ -7,8 +7,8 @@ import numpy as np
 
 from hjsolve.grid import GridField
 from hjsolve.schemes import (SchemeKind, UpdateInputs, _residual,
-                             _scaled_rhs, _update, _violation, s1_update,
-                             s2_update, s3_update)
+                             _s3_pairs, _scaled_rhs, _update, _violation,
+                             s1_update, s2_update, s3_update)
 
 
 def oracle_root(g, lo, hi, iters=200):
@@ -255,6 +255,7 @@ def residual_stats_whole_field(field: GridField, kind, f) -> float:
             sl_from[ax] = slice(None, -1)
             a[tuple(sl_to)] = V[tuple(sl_from)]
             A.append(a)
+        A, C = _s3_pairs(A, C)  # _residual's S3 factors: c_i a_i and 1 + c_i
         parts = [_violation(*_residual(kind, V, A, C, F, n), h)]
     return max(float(p.max(initial=0.0)) for p in parts)
 

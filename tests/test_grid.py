@@ -10,7 +10,7 @@ import pytest
 
 from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
-from hjsolve.schemes import _BAND, SchemeKind, _Walk, solve
+from hjsolve.schemes import _BAND, _BLOCK, SchemeKind, _Walk, solve
 from hjsolve.testcases import make_case
 
 from props import field_csv_per_cell, rhs_values, same_report
@@ -25,6 +25,27 @@ def test_spec_validation():
     assert spec.h == 1.0 / 9
     assert spec.shape == (10, 10, 10)
     assert spec.num_nodes == 1000
+
+
+@pytest.mark.parametrize("n,m,bad", [
+    (2, 4.0, "m must be an integer, got 4.0"),
+    (2, "4", "m must be an integer, got '4'"),
+    (True, 4, "n must be an integer, got True"),
+    (3.0, 4, "n must be an integer, got 3.0"),
+    (2, np.float64(4.0), "m must be an integer, got"),
+])
+def test_spec_rejects_sizes_that_are_not_integers(n, m, bad):
+    # a float m used to build a spec equal to the integer one, which solve
+    # then fed to NumPy as a shape; a str m failed on its comparison
+    with pytest.raises(ValueError, match=bad):
+        GridSpec(n, m)
+
+
+def test_spec_stores_numpy_integers_as_int():
+    spec = GridSpec(np.int64(3), np.int32(4))
+    assert type(spec.n) is int and type(spec.m) is int
+    assert spec == GridSpec(3, 4) and hash(spec) == hash(GridSpec(3, 4))
+    assert solve(spec, "s1", 1.0).field.values.shape == (5, 5, 5)
 
 
 def test_axis_coords_exact_endpoints():
@@ -100,7 +121,11 @@ def test_index_roundtrip_million_nodes():
 
 @pytest.mark.parametrize("storage", ["full", "rolling"])
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 5), (2, 20), (2, 70),
-                                 (3, 1), (3, 4), (4, 3)])
+                                 (3, 1), (3, 4), (4, 3),
+                                 # blocks of several fronts at n >= 3, with
+                                 # m + 1 at K - 1, K and K + 1
+                                 (3, _BLOCK - 2), (3, _BLOCK - 1), (3, _BLOCK),
+                                 (4, _BLOCK - 2), (4, _BLOCK - 1), (4, _BLOCK)])
 def test_blocks_are_strided_views_of_the_field(n, m, storage):
     # every block of fronts reads and writes the field through one strided
     # view of heads by fronts, masked off the grid: its on-grid entries
@@ -113,6 +138,7 @@ def test_blocks_are_strided_views_of_the_field(n, m, storage):
     src = np.arange(1.0, spec.num_nodes + 1.0)  # node p holds p + 1
     out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
     walk = _Walk(spec, SchemeKind.S1, src, None, out, rolling, None)
+    assert walk.K == min(_BLOCK, m + 1)
     seen = []
     for d0, d1 in walk.spans():
         F = walk.read(d0, d1)

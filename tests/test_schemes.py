@@ -9,8 +9,8 @@ import pytest
 from hjsolve import schemes
 from hjsolve.schemes import (BisectionCapError, SchemeDomainError, SchemeKind,
                              UpdateInputs, _BisectStats, _max_violation,
-                             _update_vec, _violation, s1_update, s2_update,
-                             s3_update)
+                             _s3_pairs, _update_vec, _violation, s1_update,
+                             s2_update, s3_update)
 
 from props import (band_update_scalar, check_closed_vs_bisection,
                    check_lower_bound, check_monotonicity, check_s2_sum_bound,
@@ -184,8 +184,10 @@ def test_update_vec_matches_scalar_band_bisection(kind, n):
         assert ref[-2] == (0.5 * h ** n, None)
 
     A = [np.array([a[j] for a, _, _ in rows]) for j in range(n)]
-    C = ([np.array([c[j] for _, c, _ in rows]) for j in range(n)]
-         if kind is SchemeKind.S3 else None)
+    C = None
+    if kind is SchemeKind.S3:  # the kernel takes c_i a_i and 1 + c_i
+        A, C = map(list, _s3_pairs(A, [np.array([c[j] for _, c, _ in rows])
+                                       for j in range(n)]))
     f = np.array([f for _, _, f in rows])
     stats = _BisectStats()
     t = _update_vec(kind, A, C, f, h, n, stats)

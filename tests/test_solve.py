@@ -17,7 +17,7 @@ from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import (_BAND, _BLOCK, SOLVE_FIXED_BYTES, WORK_ARRAYS,
                              BisectionCapError, SchemeDomainError, SchemeKind,
-                             SolveError, residual_stats, solve,
+                             SolveError, _block_fronts, residual_stats, solve,
                              working_set_bytes)
 from hjsolve.testcases import make_case
 
@@ -341,6 +341,9 @@ def test_bisection_cap_names_first_failing_node(kind, case_name, cap, storage,
         solve(spec, kind, case.f, storage=storage)
     bad = err.value.multi_index
     assert exceeds(bad)
+    # blocks of K = 9 fronts start at the multiples of 9, so the failing
+    # front is not its block's first
+    assert _block_fronts(spec) == 9 and sum(bad) % 9 != 0
     # fronts run in order of digit sum, each in lexicographic order
     assert not any(exceeds(mi) for mi in np.ndindex(*spec.shape)
                    if (sum(mi), mi) < (sum(bad), bad))
@@ -598,14 +601,17 @@ def _rhs_with(spec, values, rhs_kind):
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
 def test_invalid_rhs_named_in_front_order_within_a_block(bad, kind, storage,
                                                          rhs_kind):
-    # fronts 8 and 9 share an n = 2 block; (0, 9) comes first by rows of the
-    # field, (5, 3) first by fronts, and the solve names the first by fronts
-    assert _BLOCK > 9
-    spec = GridSpec(2, 40)
-    f = _rhs_with(spec, {(0, 9): bad, (5, 3): bad}, rhs_kind)
-    with pytest.raises(SolveError) as err:
-        solve(spec, kind, f, storage=storage)
-    assert err.value.multi_index == (5, 3)
+    # fronts 8 and 9 share a block; the node on front 9 comes first by rows
+    # of the field, the one on front 8 first by fronts, and the solve names
+    # the first by fronts. At n = 3 that node lies on the face j = 0, where
+    # S1/S2 take no rhs, but the rhs is checked there all the same
+    for spec, first, later in ((GridSpec(2, 40), (5, 3), (0, 9)),
+                               (GridSpec(3, 20), (5, 3, 0), (1, 2, 6))):
+        assert _block_fronts(spec) > 9
+        f = _rhs_with(spec, {later: bad, first: bad}, rhs_kind)
+        with pytest.raises(SolveError) as err:
+            solve(spec, kind, f, storage=storage)
+        assert err.value.multi_index == first
 
 
 @pytest.mark.parametrize("rhs_kind", ["callable", "field"])
