@@ -89,22 +89,22 @@ _BLOCK = 16  # fronts per block of an n = 2 solve (_Walk)
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
 # unit (working_set_bytes): at n >= 3 a block of K fronts (_block_fronts) and
 # one front's gathered nodes through its bisection and certificate, and the
-# slab-wise rhs and error. tracemalloc measured at most 34.3 beyond
+# slab-wise rhs and error. tracemalloc measured at most 26.9 beyond
 # SOLVE_FIXED_BYTES on cases f1-f3 and const with the u-scale error, S1-S3,
-# either storage, where a slab is one front (26.0-34.3 at n = 3 m = 127 and
+# either storage, where a slab is one front (23.1-26.9 at n = 3 m = 127 and
 # 160, n = 4 m = 20..40, n = 5 m = 10 and 12, n = 7 m = 4, n = 8 m = 3,
-# n = 10..12 m = 2 and n = 16 and 18 m = 1; 27.3-28.4 at n = 19 and 20, m = 1,
-# S3 with the constant rhs), at most 18.1 where a slab holds more rows
-# (n = 3 m = 40, n = 5 m = 8, n = 6 m = 5, n = 10 and 12 m = 1), and at most
-# 7.3 at n = 2.
-WORK_ARRAYS = 36
+# n = 10..12 m = 2 and n = 16 and 18..20 m = 1; the most at n = 12 m = 2 and
+# n = 5 m = 10, S3 with the constant rhs, rolling), at most 18.4 where a
+# slab holds more rows (n = 3 m = 40, n = 5 m = 8, n = 6 m = 5, n = 10 and
+# 12 m = 1), and at most 7.3 at n = 2.
+WORK_ARRAYS = 28
 # What one front of an n >= 3 block holds beside the block's 2K + 1 fronts,
 # in float64 arrays of one front, is at most _FRONT_ARRAYS + n/2
 # (_block_fronts): the gathered rhs and entries, the neighbors (for S3 its
 # 2n arrays c_i a_i and 1 + c_i), the brackets, the bisection's and the
 # certificate's temporaries, and a rolling solve's final slab. tracemalloc
-# measured 17.3 at n = 3..5 up to 21.5 at n = 12, m = 2 and 23.4 at n = 20,
-# m = 1, on the grids above.
+# measured at most 18.0 at n = 3 (m = 127, rolling), 18.2 at n = 4 and 5,
+# 21.9 at n = 12, m = 2 and 23.4 at n = 20, m = 1, on the grids above.
 _FRONT_ARRAYS = 17
 # Peak traced bytes of the n = 2 pass beyond the field and the rolling band
 # and its fill, in float64 arrays of one block, K by m+2: U, the rhs block,
@@ -296,13 +296,13 @@ class _BisectStats:
         self.iters_max = 0
 
 
-def _band_root(kind, t, act, live, A, C, b, lo, hi, h, n, stats):
+def _band_root(kind, t, live, A, C, b, lo, hi, h, n, stats):
     """Bisect the nodes that `live` marks into the band [target,
     (1+h)*target] of their residual and write their roots into t.
 
-    Row r of A, C, b, lo and hi holds the values of entry act[r] of t, or
-    of entry r where act is None; S3's A and C are the lists of _s3_pairs,
-    so no step recomputes them. live, lo and hi are overwritten.
+    Row r of A, C, b, lo and hi holds the values of entry r of t; S3's A
+    and C are the lists of _s3_pairs, so no step recomputes them. live, lo
+    and hi are overwritten.
     Preconditions: product < target at lo, product >= target at hi, and
     0 <= lo <= hi; for S1/S2 also lo >= every a_i, so their residual is
     taken unclipped. The upper endpoint is accepted outright when it
@@ -312,13 +312,16 @@ def _band_root(kind, t, act, live, A, C, b, lo, hi, h, n, stats):
     Every node sees the midpoints of plain bisection, however it is batched.
     The bookkeeping is lazy: a row that is not bisected, or has finished,
     stays in the arrays, masked out of `live`, until at most _COMPACT of the
-    rows are live, and then every array is gathered at once. The bracket
+    rows are live, and then every array is gathered at once, with the
+    entries of t that its rows hold (act). The bracket
     moves without selects, with high = product > upper and low = ~high (so
     a nan product moves lo): lo = max(lo, mid * low) and
     hi = fmin(hi, mid / high). Both are exact because 0 <= lo <= mid <= hi,
     so max(lo, 0) = lo and min(hi, mid) = mid, and because mid / 0 is +inf
     (nan where mid = 0), which fmin skips.
     """
+    act = None  # the entries of t of the rows, once they are gathered
+
     def rows(sel):  # the entries of t of the rows sel
         return sel if act is None else act[sel]
 
@@ -375,11 +378,9 @@ def _band_root(kind, t, act, live, A, C, b, lo, hi, h, n, stats):
 def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
     """Largest roots of the node equation for 1-d arrays of nodes, S3's A
     and C as the lists of _s3_pairs; nodes whose scaled rhs b is not > 0
-    keep the lower bracket. The others are bisected as one batch
-    (_band_root): masked in place while more than _COMPACT of the nodes
-    are in it, and gathered by one array of indices once at most that
-    share is. BisectionCapError carries the indices of the nodes that
-    exceed the cap."""
+    keep the lower bracket. The others are bisected as one batch, masked
+    in place until _band_root gathers them. BisectionCapError carries the
+    indices of the nodes that exceed the cap."""
     b = _scaled_rhs(kind, f, h, n)
     if kind is SchemeKind.S3:
         lo = A[0] / C[0]  # c_i a_i / (1 + c_i)
@@ -390,30 +391,21 @@ def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
         for a in A[1:]:
             np.maximum(lo, a, out=lo)
     pos = b > 0.0
-    t = lo  # the roots, written in place once lo is gathered or copied
+    t = lo  # the roots, written in place once lo is copied
     if kind is SchemeKind.S2:
         corner = pos & (lo <= 0.0)
         pos &= lo > 0.0
         np.copyto(t, b, where=corner)  # all a_i = 0: t^n = b t^(n-1)
-    count = int(np.count_nonzero(pos))
-    if not count:
+    if not pos.any():
         return t
-    act = None
-    if count <= _COMPACT * pos.size:
-        act = np.flatnonzero(pos)
-        A = [a.take(act) for a in A]
-        if C is not None:
-            C = [p.take(act) for p in C]
-        lo, f, b, pos = lo.take(act), f.take(act), b.take(act), np.ones(count, dtype=bool)
-    else:
-        lo = lo.copy()
+    lo = lo.copy()
     if kind is SchemeKind.S1:
         hi = lo + h * np.power(f, 1.0 / n)
     elif kind is SchemeKind.S2:
         hi = sum(A[1:], A[0]) + b  # S(a, b) <= sum a_i + b
     else:
         hi = lo + np.power(f / math.prod(C), 1.0 / n)
-    _band_root(kind, t, act, pos, A, C, b, lo, hi, h, n, stats)
+    _band_root(kind, t, pos, A, C, b, lo, hi, h, n, stats)
     return t
 
 
