@@ -22,9 +22,8 @@ compaction of the batch (_band_root).
 One engine solves the grid. Every backward neighbor of a node with index
 digit-sum d has digit-sum d-1, so the fronts d = 0, 1, ..., n*m are solved in
 order, each vectorized over its nodes and computed from front d-1 alone. The
-engine walks them in blocks of K consecutive fronts (_Walk): K = _BLOCK,
-at most m + 1, and at n >= 3 at most what the memory charge of
-working_set_bytes leaves (_block_fronts). Each block's right-hand side is
+engine walks them in blocks of K consecutive fronts (_Walk), K = _BLOCK at
+n = 2 and one front at n >= 3, whatever m. Each block's right-hand side is
 read and checked (finite, nonnegative) once, its fronts are updated in
 order, its residual is folded into the certificate, and its values are
 written once, into the full field or, with rolling storage, only into the
@@ -36,17 +35,16 @@ other nodes, are masked through skewed views of padded tables over the
 last index: at n = 2 they lie in two small end triangles. At n = 2 each
 front runs its closed form on its exact heads, on slices of a value block
 that holds the front before the block, and the certificate runs in two
-halves of the block, which bounds the temporaries. At n >= 3 each front
-gathers its nodes from its box by flat index (for S1/S2 off the face
+halves of the block, which bounds the temporaries. At n >= 3 the block's
+front gathers its nodes from its box by flat index (for S1/S2 off the face
 j = 0), so the lower bracket, the scaled rhs, S3's weights, the bisection
-and the certificate run on them alone, and is certified before the next
-front runs. The certificate is a max-reduction (_max_violation), which
-falls back to the per-node _violation only where a target is <= 0 or the
-result is not finite. A node whose rhs is invalid, or whose value,
-product or target is not finite, stops the solve with a SolveError naming
-the first such node in front order (by front, then by head in
-lexicographic order), with the rhs of a whole block checked before its
-fronts run; a non-finite value stops it at its own front.
+and the certificate run on them alone. The certificate is a max-reduction
+(_max_violation), which falls back to the per-node _violation only where a
+target is <= 0 or the result is not finite. A node whose rhs is invalid, or
+whose value, product or target is not finite, stops the solve with a
+SolveError naming the first such node in front order (by front, then by
+head in lexicographic order), with the rhs of a whole block checked before
+its fronts run; a non-finite value stops it at its own front.
 
 Work over the whole grid runs in i_1-slabs: runs of whole rows of the first
 index, about _SLAB_NODES nodes each, on the sparse mesh (GridSpec.mesh()
@@ -56,18 +54,19 @@ there, and the error is folded over the same slabs after the pass. Rolling
 storage reads a GridField's values as full storage reads its field, through
 the same strided views. It calls a callable or constant f on each front's
 coordinates at n >= 3, head coordinates as vectors that broadcast, and at
-n = 2 through a band of B fronts (_band_rhs), filled on sparse rectangles of
-at most B rows by 2B-1 columns whose skewed diagonal strips hold the band's
-nodes, so f's per-axis work runs on coordinate vectors, for O(B*(m+1))
-extra memory. A rolling solve folds the error per block on the block's own
-coordinates, in pieces of K/4 fronts at n = 2 and of one front at n >= 3,
-with the off-grid entries kept out of the max; the slab and block folds
-are one expression (_fold_error). residual_stats runs over the same slabs as full storage:
-each is copied into one buffer, zero-padded on the low face of every axis,
-whose shifted views are the backward neighbors for all three schemes, and
-the S1/S2 zero boundary is checked once, on the n faces of the field. So a
-callable f and an error_fn must be elementwise on broadcastable coordinate
-arrays: the value at a node may not depend on how nodes are batched.
+n = 2 through a band of B = _BAND fronts, four blocks (_band_rhs), filled
+on sparse rectangles of t = min(B, m + 1) rows by t + B - 1 columns whose
+skewed diagonal strips hold the band's nodes, so f's per-axis work runs on
+coordinate vectors, for O(B*(m+1)) extra memory. A rolling solve folds the
+error per block on the block's own coordinates, in pieces of K/4 fronts
+(one front at n >= 3), with the off-grid entries kept out of the max; the
+slab and block folds are one expression (_fold_error). residual_stats runs
+over the same slabs as full storage: each is copied into one buffer,
+zero-padded on the low face of every axis, whose shifted views are the
+backward neighbors for all three schemes, and the S1/S2 zero boundary is
+checked once, on the n faces of the field. So a callable f and an error_fn
+must be elementwise on broadcastable coordinate arrays: the value at a
+node may not depend on how nodes are batched.
 """
 
 from __future__ import annotations
@@ -85,44 +84,39 @@ BISECTION_CAP = 200
 _SLAB_NODES = 1 << 14  # nodes per i_1-slab, rounded to at least one row
 _COMPACT = 0.5  # gather the bisection batch once at most this share is live
 _BAND = 64  # fronts per rhs band of an n = 2 rolling solve, rows per fill (_band_rhs)
-_BLOCK = 16  # fronts per block of an n = 2 solve (_Walk)
+_BLOCK = 16  # fronts per block of an n = 2 solve (_Walk); _BAND is four blocks
 # Peak traced bytes of a solve beyond its field, in float64 arrays of one work
-# unit (working_set_bytes): at n >= 3 a block of K fronts (_block_fronts) and
-# one front's gathered nodes through its bisection and certificate, and the
-# slab-wise rhs and error. tracemalloc measured at most 26.9 beyond
-# SOLVE_FIXED_BYTES on cases f1-f3 and const with the u-scale error, S1-S3,
-# either storage, where a slab is one front (23.1-26.9 at n = 3 m = 127 and
-# 160, n = 4 m = 20..40, n = 5 m = 10 and 12, n = 7 m = 4, n = 8 m = 3,
-# n = 10..12 m = 2 and n = 16 and 18..20 m = 1; the most at n = 12 m = 2 and
-# n = 5 m = 10, S3 with the constant rhs, rolling), at most 18.4 where a
-# slab holds more rows (n = 3 m = 40, n = 5 m = 8, n = 6 m = 5, n = 10 and
-# 12 m = 1), and at most 7.3 at n = 2.
+# unit (working_set_bytes): at n >= 3 a block of one front (U's two fronts
+# and the rhs block's one) and the front's gathered nodes through its
+# bisection and certificate, and the slab-wise rhs and error. tracemalloc
+# measured at most 26.4 beyond SOLVE_FIXED_BYTES on cases f1-f3 and const
+# with the u-scale error, S1-S3, callable and GridField rhs, either storage,
+# where a slab is one front (19.3-20.9 at n = 3 m = 127 and 160, n = 4
+# m = 20..40 and n = 5 m = 10 and 12; 21.3-21.5 at n = 7 m = 4 and n = 8
+# m = 3; 23.9-24.9 at n = 10..12 m = 2; 24.1-26.4 at n = 16 and 18..20
+# m = 1, the most at n = 20, S3, rolling), at most 10.7 where a slab holds
+# more rows (n = 3 m = 40, n = 5 m = 8, n = 6 m = 5, n = 10 and 12 m = 1),
+# and 7.0 at n = 2 (m = 300 and 1000, full).
 WORK_ARRAYS = 28
-# What one front of an n >= 3 block holds beside the block's 2K + 1 fronts,
-# in float64 arrays of one front, is at most _FRONT_ARRAYS + n/2
-# (_block_fronts): the gathered rhs and entries, the neighbors (for S3 its
-# 2n arrays c_i a_i and 1 + c_i), the brackets, the bisection's and the
-# certificate's temporaries, and a rolling solve's final slab. tracemalloc
-# measured at most 18.0 at n = 3 (m = 127, rolling), 18.2 at n = 4 and 5,
-# 21.9 at n = 12, m = 2 and 23.4 at n = 20, m = 1, on the grids above.
-_FRONT_ARRAYS = 17
 # Peak traced bytes of the n = 2 pass beyond the field and the rolling band
-# and its fill, in float64 arrays of one block, K by m+2: U, the rhs block,
-# the certificate's temporaries on half a block, the closed form's on one
-# front, and a rolling solve's error fold on a quarter block (_fold, whose
-# own excess is at most 1.8 blocks). tracemalloc measured at most 5.06 at
-# m = 1000 and 5.21 at m = 300 (5.9-9.2 at m = 15..65, where the fixed
-# bytes take the rest), f1-f3 and const with and without the u-scale
+# and its fill, in float64 arrays of one block, _BLOCK by m+2: U, the rhs
+# block, the certificate's temporaries on half a block, the closed form's
+# on one front, and a rolling solve's error fold on a quarter block (_fold,
+# whose own excess is at most 1.8 blocks). tracemalloc measured at most
+# 5.06 at m = 1000 and 5.21 at m = 300 (5.9-9.2 at m = 15..65, where the
+# fixed bytes take the rest), f1-f3 and const with and without the u-scale
 # error, S1-S3, callable and GridField rhs, rolling storage; the most is
 # f1 with S3 and the error, whose zero rhs sends the certificate to
 # _violation.
 _BLOCK_ARRAYS = 6
 # Rectangles of one band fill (_band_rhs) alive at once, counting f's
-# results: tracemalloc measured at most 7.17 on 64 by 127 rectangles (7.93
-# on the 16 by 31 rectangles of m = 15), f1-f3 and const, S1-S3.
+# results: tracemalloc measured at most 7.17 on 64 by 127 rectangles, 7.42
+# on the 16 by 79 of m = 15 and 7.70 on the 9 by 72 of m = 8, f1-f3 and
+# const (up to 10.2 on the 2 by 65 of m = 1, whose 2.3 KB excess
+# SOLVE_FIXED_BYTES holds).
 _RECT_ARRAYS = 8
 # Bytes a solve holds at any size (array headers, tables over j, closures):
-# tracemalloc measured at most 15.0 KB above the work arrays on m = 1..3,
+# tracemalloc measured at most 15.1 KB above the work arrays on m = 1..3,
 # n = 2..6, f1-f3 and const with the u-scale error (n = 5, m = 1, rolling).
 SOLVE_FIXED_BYTES = 32 * 1024
 
@@ -416,7 +410,9 @@ def _update_vec(kind, A, C, f, h, n, stats: _BisectStats) -> np.ndarray:
 def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
     """One node update by closed form or bisection. The bisection runs the
     engine's batch kernel on length-1 arrays; for S3 the weights default to
-    c_i = n*x_i/h, and `cs` overrides them."""
+    c_i = n*x_i/h, and `cs` overrides them. As in a solve, an update whose
+    value, residual product or target is not finite (an overflow) raises
+    SchemeDomainError naming its inputs; no overflow warning escapes."""
     inp.validate()
     if kind is SchemeKind.S3:
         if len(inp.x) != inp.n:
@@ -425,12 +421,10 @@ def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
             raise SchemeDomainError(f"negative or non-finite coordinate in x={inp.x}")
     if method == "auto":
         method = "closed" if inp.n == 2 else "bisect"
-    if method == "closed":
-        if inp.n != 2:
-            raise ValueError("closed form only available in n=2")
-        return float(_closed(kind, inp.a, inp.x, inp.f_x, inp.h))
-    if method != "bisect":
+    if method not in ("closed", "bisect"):
         raise ValueError(f"unknown method {method!r}; expected auto, closed or bisect")
+    if method == "closed" and inp.n != 2:
+        raise ValueError("closed form only available in n=2")
     A = [np.array([ai], dtype=np.float64) for ai in inp.a]
     C = None
     if kind is SchemeKind.S3:
@@ -438,7 +432,16 @@ def _update(kind: SchemeKind, inp: UpdateInputs, method: str, cs=None) -> float:
             cs = [inp.n * xi / inp.h for xi in inp.x]
         A, C = map(list, _s3_pairs(A, [np.array([c], dtype=np.float64) for c in cs]))
     f = np.array([inp.f_x], dtype=np.float64)
-    return float(_update_vec(kind, A, C, f, inp.h, inp.n, _BisectStats())[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "closed":
+            t = np.array([_closed(kind, inp.a, inp.x, inp.f_x, inp.h)])
+        else:
+            t = _update_vec(kind, A, C, f, inp.h, inp.n, _BisectStats())
+        residual = _residual(kind, t, A, C, _scaled_rhs(kind, f, inp.h, inp.n), inp.n)
+    if not all(math.isfinite(r[0]) for r in (t,) + residual):
+        raise SchemeDomainError(
+            f"non-finite value, product or target of the {kind.value} update {inp}")
+    return float(t[0])
 
 
 def s1_update(inp: UpdateInputs, method: str = "auto") -> float:
@@ -544,7 +547,7 @@ def _strip(A, t: int, B: int) -> np.ndarray:
 def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
     """rows(d0, d1): the rhs of the fronts [d0, d1) of an n = 2 rolling
     solve with a callable or constant f, by fronts and heads, read from a
-    band of B fronts: band[d - D, i] is f at node (i, d - i), for the
+    band of B = _BAND fronts: band[d - D, i] is f at node (i, d - i), for the
     fronts d in [D, D + B) with D a multiple of B. The fronts [d0, d1) lie
     in one band, and where d0 = D fn fills it, from blocks of at most B
     rows [r0, r1): f on the sparse rectangle x[r0:r1] by
@@ -554,8 +557,7 @@ def _band_rhs(fn, spec: GridSpec, xs: np.ndarray):
     coordinate vectors instead of on every node. Columns past either end
     of the axis read the end coordinates, so f sees grid coordinates only;
     those entries are off the grid."""
-    m = spec.m
-    B = min(_BAND, m + 1)
+    m, B = spec.m, _BAND
     xpad = _padded(xs, B - 1)
     band = np.empty((B, m + 1))
 
@@ -606,13 +608,16 @@ def _max_violation(product, target, band) -> float:
     0.0, with a few temporaries: max(a, 0)/t == max(a/t, 0) for t > 0, and
     0.0 goes first into the clip so that a -0.0 never leaks. Otherwise (a
     target <= 0, or a result that is not finite: nan fails < inf) it falls
-    back to _violation itself. The engine runs it once per block of fronts,
-    residual_stats once per face and once per slab."""
+    back to _violation itself; the fast path's invalid operations (inf -
+    inf), whose nan sends it there, raise no warning. The engine runs it
+    once per certificate piece, residual_stats once per face and once per
+    slab."""
     if product.size and np.minimum.reduce(target, axis=None) > 0.0:
-        a = target - product
-        b = (1.0 + band) * target
-        np.maximum(a, np.subtract(product, b, out=b), out=a)
-        a /= target
+        with np.errstate(invalid="ignore"):
+            a = target - product
+            b = (1.0 + band) * target
+            np.maximum(a, np.subtract(product, b, out=b), out=a)
+            a /= target
         worst = float(np.maximum.reduce(a, axis=None))
         if worst < math.inf:
             return max(0.0, worst)
@@ -701,22 +706,11 @@ class SolveReport:
 # Front-streaming engine
 # ---------------------------------------------------------------------------
 
-def _block_fronts(spec: GridSpec) -> int:
-    """K, the fronts per block of _Walk: _BLOCK, at most m + 1, and at
-    n >= 3 at most what the charge of working_set_bytes leaves, beyond
-    _FRONT_ARRAYS + n/2 arrays of one front, for U's K + 1 fronts and the
-    rhs block's K."""
-    K = min(_BLOCK, spec.m + 1)
-    if spec.n > 2:
-        spare = WORK_ARRAYS * _slab_rows(spec) - _FRONT_ARRAYS - spec.n // 2
-        K = min(K, max(1, (spare - 1) // 2))
-    return K
-
-
 class _Walk:
     """The engine's steps (_solve_fronts) over blocks of K consecutive
-    fronts [d0, d1), K = _block_fronts(spec). No block crosses a band of
-    _band_rhs.
+    fronts [d0, d1) from front 0: K = _BLOCK at n = 2, whose rhs band of
+    _BAND fronts (_band_rhs) is four blocks, so no block crosses a band,
+    and K = 1 at n >= 3.
 
     Node (I_1, ..., I_{n-1}, d - |I|) is entry d + sum_k I_k*s_k of the flat
     field, s_k = (m+1)^(n-k) - 1. A block's heads lie in the box
@@ -744,25 +738,22 @@ class _Walk:
     one of the zeros before U[0]. Only S3 reads it, at heads I_j = 0, and
     weights it by c_j = 0, which needs it finite. At n = 2 each front runs
     its closed form on its exact heads (the inner ones for S1/S2), on
-    shifted views of U over a box (_stencil). At n >= 3 each front is
-    bisected on its nodes (_front), gathered from U by their entries, and
-    only their values are put back. Either way an entry of U is written
-    only by the fronts on which its head is a node that takes a value, so
-    entries for heads past the front (j < 0) and the S1/S2 faces keep U's
-    initial 0, the other entries off the grid keep values of earlier
-    fronts, and every entry of U is finite. A rolling solve reads a
-    GridField through the same view of its values and, at n = 2, a
-    callable f from the rows of _band_rhs (at n >= 3 it calls f on each
-    front's coordinates, _axes); it folds error_fn over U's fronts (_fold)
-    and writes the heads with I_1 = m through the view of the final slab
-    at offset d - m."""
+    shifted views of U over a box (_stencil). At n >= 3 the block's front
+    is bisected on its nodes (_front), whose neighbors are gathered from
+    U[0] by their entries, and only their values are put into U[1]. Either
+    way an entry of U is written only by the fronts on which its head is a
+    node that takes a value, so entries for heads past the front (j < 0)
+    and the S1/S2 faces keep U's initial 0, the other entries off the grid
+    keep values of earlier fronts, and every entry of U is finite. A
+    rolling solve reads a GridField through the same view of its values
+    and, at n = 2, a callable f from the rows of _band_rhs (at n >= 3 it
+    calls f on the block's coordinates, _axes); it folds error_fn over U's
+    fronts (_fold) and writes the heads with I_1 = m through the view of
+    the final slab at offset d - m."""
 
     def __init__(self, spec, kind, src, fn, out, rolling, error_fn):
         n, m = spec.n, spec.m
-        K = self.K = _block_fronts(spec)
-        # fronts per piece of a rolling solve's f calls and error fold,
-        # which bounds their temporaries
-        self.step = max(1, K // 4) if n == 2 else 1
+        K = self.K = _BLOCK if n == 2 else 1
         P = self.P = (n - 2) * m + K
         self.spec, self.kind, self.out = spec, kind, out
         self.src, self.fn, self.rolling, self.error_fn = src, fn, rolling, error_fn
@@ -792,10 +783,8 @@ class _Walk:
 
     def spans(self):
         N = self.spec.n * self.spec.m + 1
-        B = min(_BAND, self.spec.m + 1)
-        for D in range(0, N, B):
-            for d0 in range(D, min(D + B, N), self.K):
-                yield d0, min(d0 + self.K, D + B, N)
+        for d0 in range(0, N, self.K):
+            yield d0, min(d0 + self.K, N)
 
     def _heads(self, d0, d1):
         """Heads [lo, hi), on every head axis, of the fronts [d0, d1)."""
@@ -865,10 +854,8 @@ class _Walk:
             F = G.transpose(-1, *range(n - 1))
             if self.src is not None:
                 np.copyto(F, self._view(self.src, d0, lo, hi, d1 - d0, self.steps))
-            else:  # n >= 3: each front on its own heads, where it meets the grid
-                for r0, r1, a, b in self._pieces(d1 - d0, self.step):
-                    x = self._axes(self.xs, self.xpad, d0 + r0, a, (r1 - r0,) + (b - a,) * (n - 1))
-                    F[(slice(r0, r1),) + (slice(a - lo, b - lo),) * (n - 1)] = self.fn(x)
+            else:  # n >= 3: the block is one front
+                F[...] = self.fn(self._axes(self.xs, self.xpad, d0, lo, shape))
         self._off_grid((F,), d0, lo, 0, 0.0)
         return F
 
@@ -895,37 +882,36 @@ class _Walk:
         """Solve the block's fronts in order, straight into U, and return
         the largest band violation of their pieces (_certify on t, A, C,
         f, finite; S3's A and C as the pairs of _s3_pairs); no piece
-        outlives its certificate. At n = 2 the fronts run their closed
-        forms until one holds a value that is not finite, and the
+        outlives its certificate. At n >= 3 the block is one front,
+        bisected on its nodes (_front). At n = 2 the fronts run their
+        closed forms until one holds a value that is not finite (an
+        overflow, whose inf*0 makes no invalid warning), and the
         certificate follows over the fronts solved, in pieces of at most
         K/2 fronts by their heads [c0, ph) (from head 1 for S1/S2), which
-        bounds its temporaries. At n >= 3 each front is bisected on its
-        nodes (_front) and certified before the next front runs, so a
-        front whose certificate fails feeds no later one."""
+        bounds its temporaries."""
         spec, kind, U = self.spec, self.kind, self.U
         n, m, h, d0, lo = spec.n, spec.m, spec.h, self.d0, self.lo
+        if n > 2:
+            return _certify(kind, self, *self._front(F, stats), h, n)
         bc = kind.has_boundary_condition
         s3 = kind is SchemeKind.S3
         rows, finite, worst = self.d1 - d0, True, 0.0
-        if n > 2:
-            for k in range(rows):
-                worst = max(worst, _certify(kind, self, *self._front(k, F, stats), h, n))
-            return worst
         x2 = self._skew(self.xpad, d0, lo, F.shape) if s3 else None
-        for k in range(rows):
-            d = d0 + k
-            a, b = max(0, d - m), min(d, m) + 1
-            if bc:  # inner nodes: i >= 1 and d - i >= 1
-                a, b = max(a, 1), min(b, d)
-            u = self.ulead + k * (m + 1)  # U[k], head 0
-            t = _closed(kind, (U[u + a - 1:u + b - 1], U[u + a:u + b]),
-                        (self.xs[a:b], x2[k, a - lo:b - lo]) if s3 else None,
-                        F[k, a - lo:b - lo], h)
-            U[u + m + 1 + a:u + m + 1 + b] = t
-            if not np.maximum.reduce(t, initial=0.0) < math.inf:
-                rows, finite = k + 1, False  # no later front runs
-                break
-        for r0, r1, c0, hi in self._pieces(rows, max(1, self.K // 2)):
+        with np.errstate(invalid="ignore"):
+            for k in range(rows):
+                d = d0 + k
+                a, b = max(0, d - m), min(d, m) + 1
+                if bc:  # inner nodes: i >= 1 and d - i >= 1
+                    a, b = max(a, 1), min(b, d)
+                u = self.ulead + k * (m + 1)  # U[k], head 0
+                t = _closed(kind, (U[u + a - 1:u + b - 1], U[u + a:u + b]),
+                            (self.xs[a:b], x2[k, a - lo:b - lo]) if s3 else None,
+                            F[k, a - lo:b - lo], h)
+                U[u + m + 1 + a:u + m + 1 + b] = t
+                if not np.maximum.reduce(t, initial=0.0) < math.inf:
+                    rows, finite = k + 1, False  # no later front runs
+                    break
+        for r0, r1, c0, hi in self._pieces(rows, self.K // 2):
             p0 = self.p0 = d0 + r0
             c0 = self.c0 = max(c0, 1) if bc else c0
             self.shape = (r1 - r0,) + (hi - c0,) * (n - 1)
@@ -937,26 +923,26 @@ class _Walk:
             worst = max(worst, _certify(kind, self, t, A, C, f, finite or r1 < rows, h, n))
         return worst
 
-    def _front(self, k, F, stats):
-        """Solve front d = d0 + k (n >= 3) by bisection on its nodes, and
-        return the certificate's inputs on them. They are the entries of
-        the front's box (from head 1 for S1/S2) on the grid, for S1/S2 off
-        the face j = 0, which a _skew view of `valued` marks. Their flat
-        indices in the box, in C order, give their rhs (from a C-order copy
-        of the box's), their heads, by division, and their entries in a
-        front of U, from which the neighbors are taken and into which the
-        values are put. The other entries of U keep what they hold: 0 for
-        heads past the front and on the S1/S2 faces, and finite elsewhere,
-        where only S3 reads them, at heads I_k = 0 or j = 0, with the weight
-        0. S3's weights are n*I_k and n*j."""
+    def _front(self, F, stats):
+        """Solve the block's front d = d0 (n >= 3) by bisection on its
+        nodes, from U[0], and return the certificate's inputs on them.
+        They are the entries of the front's box [lo, hi) (from head 1 for
+        S1/S2) on the grid, for S1/S2 off the face j = 0, which a _skew
+        view of `valued` marks. Their flat indices in the box, in C order,
+        give their rhs (from a C-order copy of the box's), their heads, by
+        division, and their entries in a front of U, from which the
+        neighbors are taken and into which the values are put. The other
+        entries of U keep what they hold: 0 for heads past the front and on
+        the S1/S2 faces, and finite elsewhere, where only S3 reads them, at
+        heads I_k = 0 or j = 0, with the weight 0. S3's weights are n*I_k
+        and n*j."""
         spec, kind, U = self.spec, self.kind, self.U
-        n, h, d = spec.n, spec.h, self.d0 + k
-        a, b = self._heads(d, d + 1)
+        n, h, d, a, b = spec.n, spec.h, self.d0, self.lo, self.hi
         if kind.has_boundary_condition:
             a = max(a, 1)
         w = b - a
         pos = np.flatnonzero(self._skew(self.valued, d, a, (1,) + (w,) * (n - 1)))
-        f = F[(k,) + (slice(a - self.lo, b - self.lo),) * (n - 1)].take(pos)
+        f = F[(0,) + (slice(a - self.lo, None),) * (n - 1)].take(pos)
         heads, rest = [], pos
         for e in range(n - 2, 0, -1):
             heads.append(rest // w ** e)
@@ -966,7 +952,7 @@ class _Walk:
         for q, e, s in zip(heads, range(n - 2, 0, -1), self.ustep):
             pos += q * (s - w ** e)
         self.p0, self.upos = d, pos
-        base = self.ulead + k * self.front  # U[k], head 0
+        base = self.ulead  # U[0], head 0
         A = [U[base - s:].take(pos) for s in self.ustep] + [U[base:].take(pos)]
         C = None
         if kind is SchemeKind.S3:  # c_i a_i and 1 + c_i in place of a_i and c_i
@@ -1021,12 +1007,12 @@ class _Walk:
 
     def _fold(self, linf):
         """linf folded with error_fn over the block's values in pieces of
-        `step` fronts by all their heads, on the pieces' own coordinates
-        (_axes). The entries off the grid, stale values of U at the end
-        coordinates, go to error_fn too; the _skew view of `on` keeps them
-        out of the max."""
+        K/4 fronts (one at n >= 3) by all their heads, which bounds the
+        temporaries, on the pieces' own coordinates (_axes). The entries
+        off the grid, stale values of U at the end coordinates, go to
+        error_fn too; the _skew view of `on` keeps them out of the max."""
         n = self.spec.n
-        for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, self.step):
+        for r0, r1, lo, hi in self._pieces(self.d1 - self.d0, max(1, self.K // 4)):
             p0, shape = self.d0 + r0, (r1 - r0,) + (hi - lo,) * (n - 1)
             linf = _fold_error(linf, self.error_fn,
                                self._u(r0 + 1, r1 + 1, lo, hi),
@@ -1059,11 +1045,11 @@ def _certify(kind, walk, t, A, C, f, finite, h, n) -> float:
 
 def _solve_fronts(spec, kind, f, rolling, error_fn):
     """Single pass over the fronts d = 0..n*m, in blocks of K consecutive
-    fronts (_Walk, _block_fronts). Each block's rhs is checked once, its
-    fronts are solved in order, each from the one before, its residual is
-    certified (_certify: at n = 2 in two halves, at n >= 3 per front), and
-    its values go to the full field or, with rolling storage, only into
-    the final i_1 = m slab. With full storage the field holds the rhs
+    fronts (_Walk: 16 at n = 2, one at n >= 3). Each block's rhs is
+    checked once, its fronts are solved in order, each from the one
+    before, its residual is certified (_certify: at n = 2 in two halves),
+    and its values go to the full field or, with rolling storage, only
+    into the final i_1 = m slab. With full storage the field holds the rhs
     until a block overwrites it with its solution."""
     n, m, h = spec.n, spec.m, spec.h
     _check_rhs_spec(f, spec)
@@ -1121,16 +1107,16 @@ def solve(spec: GridSpec, kind, f, *, storage: str = "full",
     of the sparse mesh: the rhs is written into the field before the pass
     and the error is taken after it. With storage="rolling" the field is not
     retained and the report carries the final axis-1 slab. The fronts are
-    solved in blocks of up to _BLOCK fronts, fewer at n >= 3 where the
-    memory charge demands it (_block_fronts), each a strided view of the
-    field. A rolling solve reads a GridField rhs from its values; it
-    evaluates a callable or constant f per front at n >= 3, and at n = 2
-    on row blocks of a band of fronts (_band_rhs) before the band's fronts
-    are solved. It folds error_fn per block on the block's own
-    coordinates once the block is solved. Either way a callable f and
-    error_fn must be elementwise on broadcastable coordinate arrays, and the
-    two storages agree bit for bit. A SolveError names the first offending
-    node by front, then by head in lexicographic order.
+    solved in blocks of _BLOCK fronts at n = 2 and of one front at n >= 3,
+    each a strided view of the field. A rolling solve reads a GridField rhs
+    from its values; it evaluates a callable or constant f per front at
+    n >= 3, and at n = 2 on row blocks of a band of fronts (_band_rhs)
+    before the band's fronts are solved. It folds error_fn per block on the
+    block's own coordinates once the block is solved. Either way a callable
+    f and error_fn must be elementwise on broadcastable coordinate arrays,
+    and the two storages agree bit for bit. A SolveError names the first
+    offending node by front, then by head in lexicographic order, with the
+    rhs of a whole block checked before its fronts run.
     """
     kind = SchemeKind.parse(kind)
     if storage not in ("full", "rolling"):
@@ -1152,25 +1138,25 @@ def working_set_bytes(spec: GridSpec, storage: str = "full") -> int:
     """Bytes a solve holds at its peak: the field with full storage, plus
     WORK_ARRAYS float64 arrays the size of its work unit, one i_1-slab of
     at least one row, which holds the box of heads of any front at n >= 3,
-    plus SOLVE_FIXED_BYTES. At n >= 3 the pass holds a block of K fronts
-    (U's K + 1 and the rhs block's K, each at most one front) and one
-    front's _FRONT_ARRAYS, and _block_fronts picks K so that they fit in
-    the charge. At n = 2 the pass holds instead _BLOCK_ARRAYS
-    arrays of one block of K fronts, K by m+2 (_Walk): a full solve, which
-    also fills the rhs and folds the error over i_1-slabs, is charged the
-    larger of the two; a rolling solve holds no slab, only the block (with
-    the error fold's pieces), the rhs band of B fronts and _RECT_ARRAYS
-    rectangles of B by 2B-1 nodes that fill it (_band_rhs). A GridField
-    rhs needs no band, but the charge does not depend on the rhs."""
+    plus SOLVE_FIXED_BYTES. At n >= 3 the pass holds a block of one front
+    (U's two fronts and the rhs block's one) and that front's gathered
+    nodes through its bisection and certificate. At n = 2 the pass holds
+    instead _BLOCK_ARRAYS arrays of one block of _BLOCK fronts by m+2
+    (_Walk): a full solve, which also fills the rhs and folds the error
+    over i_1-slabs, is charged the larger of the two; a rolling solve holds
+    no slab, only the block (with the error fold's pieces), the rhs band of
+    _BAND fronts and _RECT_ARRAYS rectangles of t by t + _BAND - 1 nodes
+    that fill it, t = min(_BAND, m + 1) rows (_band_rhs). A GridField rhs
+    needs no band, but the charge does not depend on the rhs."""
     m = spec.m
     front = (m + 1) ** (spec.n - 1)
     field = spec.num_nodes * 8 if storage == "full" else 0
     work = WORK_ARRAYS * _slab_rows(spec) * front
     if spec.n == 2:
-        block = _BLOCK_ARRAYS * min(_BLOCK, m + 1) * (m + 2)
+        block = _BLOCK_ARRAYS * _BLOCK * (m + 2)
         if storage == "rolling":
-            B = min(_BAND, m + 1)
-            work = block + B * front + _RECT_ARRAYS * B * (2 * B - 1)
+            t = min(_BAND, m + 1)
+            work = block + _BAND * front + _RECT_ARRAYS * t * (t + _BAND - 1)
         else:
             work = max(work, block)
     return field + 8 * work + SOLVE_FIXED_BYTES

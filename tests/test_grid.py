@@ -122,8 +122,7 @@ def test_index_roundtrip_million_nodes():
 @pytest.mark.parametrize("storage", ["full", "rolling"])
 @pytest.mark.parametrize("n,m", [(2, 1), (2, 2), (2, 5), (2, 20), (2, 70),
                                  (3, 1), (3, 4), (4, 3),
-                                 # blocks of several fronts at n >= 3, with
-                                 # m + 1 at K - 1, K and K + 1
+                                 # m + 1 at _BLOCK - 1, _BLOCK and _BLOCK + 1
                                  (3, _BLOCK - 2), (3, _BLOCK - 1), (3, _BLOCK),
                                  (4, _BLOCK - 2), (4, _BLOCK - 1), (4, _BLOCK)])
 def test_blocks_are_strided_views_of_the_field(n, m, storage):
@@ -138,7 +137,7 @@ def test_blocks_are_strided_views_of_the_field(n, m, storage):
     src = np.arange(1.0, spec.num_nodes + 1.0)  # node p holds p + 1
     out = np.zeros((m + 1) ** (n - 1) if rolling else spec.num_nodes)
     walk = _Walk(spec, SchemeKind.S1, src, None, out, rolling, None)
-    assert walk.K == min(_BLOCK, m + 1)
+    assert walk.K == (16 if n == 2 else 1)
     seen = []
     for d0, d1 in walk.spans():
         F = walk.read(d0, d1)

@@ -105,6 +105,24 @@ def test_update_rejects_non_finite_inputs(bad, n, method):
         s3_update(make_inp(n, 0.1, 1.0, a, x=x[:-1] + (bad,)), method=method)
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0], ids=["zero", "one"])
+def test_update_overflow_raises_naming_its_inputs(a):
+    # h = 1 and f = 1e308: at n = 2 every closed form overflows (S2's inf*0
+    # with zero neighbors is nan), at n >= 3 S2's product t^n; under the
+    # suite's error::RuntimeWarning filter no warning escapes either
+    for n, update in [(2, s1_update), (2, s2_update), (2, s3_update),
+                      (3, s2_update), (4, s2_update)]:
+        inp = make_inp(n, 1.0, 1e308, (a,) * n, x=(0.5,) * n)
+        with pytest.raises(SchemeDomainError, match="non-finite") as err:
+            update(inp)
+        assert repr(inp) in str(err.value)
+    # a finite result still returns
+    for n, update, t in [(3, s1_update, 4.641588833612718e+102),
+                         (3, s3_update, 1.8566355334450872e+102),
+                         (4, s1_update, 1e77)]:
+        assert update(make_inp(n, 1.0, 1e308, (a,) * n, x=(0.5,) * n)) == t
+
+
 def test_update_rejects_unknown_method():
     for update in (s1_update, s2_update, s3_update):
         with pytest.raises(ValueError, match="unknown method"):

@@ -17,7 +17,7 @@ from hjsolve.convergence import u_scale_error_fn
 from hjsolve.grid import GridField, GridSpec
 from hjsolve.schemes import (_BAND, _BLOCK, SOLVE_FIXED_BYTES, WORK_ARRAYS,
                              BisectionCapError, SchemeDomainError, SchemeKind,
-                             SolveError, _block_fronts, residual_stats, solve,
+                             SolveError, _Walk, residual_stats, solve,
                              working_set_bytes)
 from hjsolve.testcases import make_case
 
@@ -25,6 +25,12 @@ from props import (node_update, oracle_band_solve, oracle_solve,
                    residual_stats_whole_field, rhs_values, same_report)
 
 BAND_EPS = 1e-12
+
+
+def _fronts_per_block(spec):
+    """K, the fronts per block of the engine's walk over spec."""
+    out = np.zeros(spec.num_nodes)
+    return _Walk(spec, SchemeKind.S1, out, None, out, False, None).K
 
 
 def _stable_ids(cases):
@@ -67,6 +73,51 @@ def test_engine_equals_scalar_band_bisection(n, m, kind, case_name):
         assert np.array_equal(got, want)
         assert (rep.bisect_nodes, rep.bisect_iters_max,
                 rep.bisect_iters_mean) == (nodes, most, mean)
+
+
+_FUZZ_M_MAX = {2: 40, 3: 12, 4: 6, 5: 4}
+_FUZZ_RHS = ("uniform", "log-uniform", "half-zeros", "islands")
+
+
+def _fuzz_rhs(rng, shape, rhs):
+    """A random nonnegative rhs: uniform on [0, 1), log-uniform on
+    [1e-30, 1e30], uniform with half its nodes 0, or uniform with three
+    boxes of 1e-300."""
+    F = rng.uniform(0.0, 1.0, shape)
+    if rhs == "log-uniform":
+        F = 10.0 ** rng.uniform(-30.0, 30.0, shape)
+    elif rhs == "half-zeros":
+        F[rng.random(shape) < 0.5] = 0.0
+    elif rhs == "islands":
+        for _ in range(3):
+            lo = rng.integers(0, shape[0], len(shape))
+            hi = lo + rng.integers(1, max(2, shape[0] // 3) + 1, len(shape))
+            F[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1e-300
+    return F
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_differential_fuzz_against_scalar_oracles(case):
+    # seeded random GridField rhs on random grids, n = 2..5, every scheme
+    # and rhs kind: the field and bisection counters equal the scalar
+    # oracle's bit for bit (the closed forms node by node at n = 2, the
+    # pure-Python band bisection at n >= 3), the certificate equals
+    # residual_stats, and rolling storage equals full storage
+    n, kind, rhs = 2 + case % 4, list(SchemeKind)[case % 3], _FUZZ_RHS[case // 4 % 4]
+    rng = np.random.default_rng([2026, case])
+    spec = GridSpec(n, int(rng.integers(1, _FUZZ_M_MAX[n] + 1)))
+    F = GridField(spec, _fuzz_rhs(rng, spec.shape, rhs))
+    full = solve(spec, kind, F)
+    same_report(full, solve(spec, kind, F, storage="rolling"))
+    if n == 2:
+        assert np.array_equal(full.field.values, oracle_solve(spec, kind, F))
+        assert full.bisect_nodes == 0
+    else:
+        W, nodes, most, mean = oracle_band_solve(spec, kind, F)
+        assert np.array_equal(full.field.values, W)
+        assert (full.bisect_nodes, full.bisect_iters_max,
+                full.bisect_iters_mean) == (nodes, most, mean)
+    assert full.max_band_violation == residual_stats(full.field, kind, F)
 
 
 @pytest.mark.parametrize("kind", ["s1", "s2", "s3"])
@@ -341,9 +392,8 @@ def test_bisection_cap_names_first_failing_node(kind, case_name, cap, storage,
         solve(spec, kind, case.f, storage=storage)
     bad = err.value.multi_index
     assert exceeds(bad)
-    # blocks of K = 9 fronts start at the multiples of 9, so the failing
-    # front is not its block's first
-    assert _block_fronts(spec) == 9 and sum(bad) % 9 != 0
+    # at n = 3 every block is one front, bisected and certified alone
+    assert _fronts_per_block(spec) == 1
     # fronts run in order of digit sum, each in lexicographic order
     assert not any(exceeds(mi) for mi in np.ndindex(*spec.shape)
                    if (sum(mi), mi) < (sum(bad), bad))
@@ -601,13 +651,15 @@ def _rhs_with(spec, values, rhs_kind):
 @pytest.mark.parametrize("bad", [np.nan, -1.0], ids=["nan", "negative"])
 def test_invalid_rhs_named_in_front_order_within_a_block(bad, kind, storage,
                                                          rhs_kind):
-    # fronts 8 and 9 share a block; the node on front 9 comes first by rows
-    # of the field, the one on front 8 first by fronts, and the solve names
-    # the first by fronts. At n = 3 that node lies on the face j = 0, where
-    # S1/S2 take no rhs, but the rhs is checked there all the same
+    # the node on front 9 comes first by rows of the field, the one on
+    # front 8 first by fronts, and the solve names the first by fronts. At
+    # n = 2 the two fronts share a block of K = 16, whose rhs is checked
+    # at once; at n = 3 a block is one front, and the node on front 8 lies
+    # on the face j = 0, where S1/S2 take no rhs, but the rhs is checked
+    # there all the same
     for spec, first, later in ((GridSpec(2, 40), (5, 3), (0, 9)),
                                (GridSpec(3, 20), (5, 3, 0), (1, 2, 6))):
-        assert _block_fronts(spec) > 9
+        assert _fronts_per_block(spec) == (16 if spec.n == 2 else 1)
         f = _rhs_with(spec, {later: bad, first: bad}, rhs_kind)
         with pytest.raises(SolveError) as err:
             solve(spec, kind, f, storage=storage)
@@ -637,17 +689,28 @@ def test_overflow_named_within_a_block_without_invalid_warnings(storage,
     # so its value is inf: front 19, the fourth of the block [16, 32) of
     # K = 16 fronts. The solve stops there, runs no later front and computes
     # no inf - inf.
+    # With h = 1 and f = 1e308 everywhere: at n = 3 the S2 corner t = b and
+    # the S3 root overflow their product and target, so the certificate's
+    # fast path computes inf - inf before it falls back; at n = 2 the S2
+    # closed form with zero neighbors computes inf*0.
     assert _BLOCK == 16
     spec = GridSpec(2, 40)
-    f = _rhs_with(spec, {(10, 9): 1e308}, rhs_kind)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(SolveError) as err:
-            solve(spec, "s2", f, storage=storage)
-    assert err.value.multi_index == (10, 9)
-    messages = [str(w.message) for w in caught]
-    assert any("overflow" in msg for msg in messages)
-    assert not any("invalid value" in msg for msg in messages), messages
+    cases = [(spec, "s2", _rhs_with(spec, {(10, 9): 1e308}, rhs_kind), (10, 9))]
+    for n, kind, node in [(3, "s2", (1, 1, 1)), (3, "s3", (0, 0, 1)),
+                          (2, "s2", (1, 1))]:
+        spec = GridSpec(n, 1)
+        f = (1e308 if rhs_kind == "callable"
+             else GridField(spec, np.full(spec.shape, 1e308)))
+        cases.append((spec, kind, f, node))
+    for spec, kind, f, node in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolveError) as err:
+                solve(spec, kind, f, storage=storage)
+        assert err.value.multi_index == node
+        messages = [str(w.message) for w in caught]
+        assert any("overflow" in msg for msg in messages)
+        assert not any("invalid value" in msg for msg in messages), messages
 
 
 def _on_grid_rhs(m):
